@@ -7,7 +7,7 @@
 //     binary;
 //  3. kernel backends — fp32 vs int8 (per-output-channel scales, int32
 //     accumulation) forward throughput of the Conv2d and Dense kernels;
-//  4. kernel dispatch — naive vs gemm vs sparse vs simd vs auto throughput
+//  4. kernel dispatch — naive vs sparse vs simd vs auto throughput
 //     at a representative spike density (10% nonzeros), fp32 and int8, for
 //     the sparsity-aware dispatch engine (src/kernels/). Also asserts the
 //     dispatch contract that auto int8 is never slower than naive (within a
@@ -219,12 +219,11 @@ KernelTimings RunKernelComparison(int repeats) {
 /// Per-mode timings for one layer/precision.
 struct ModeTimings {
   double naive_ms;
-  double gemm_ms;
   double sparse_ms;
   double simd_ms;  // forced kSimd (degrades to naive on scalar machines)
   double auto_ms;  // what the dispatcher actually picks
   double best_speedup() const {
-    return naive_ms / std::min({gemm_ms, sparse_ms, simd_ms});
+    return naive_ms / std::min(sparse_ms, simd_ms);
   }
 };
 
@@ -247,10 +246,6 @@ ModeTimings TimeModes(LayerT& layer, const Tensor& x, int repeats) {
     t.naive_ms = MsPerForward(layer, x, repeats);
   }
   {
-    kernels::ScopedKernelMode force(kernels::KernelMode::kGemm);
-    t.gemm_ms = MsPerForward(layer, x, repeats);
-  }
-  {
     kernels::ScopedKernelMode force(kernels::KernelMode::kSparse);
     t.sparse_ms = MsPerForward(layer, x, repeats);
   }
@@ -265,7 +260,7 @@ ModeTimings TimeModes(LayerT& layer, const Tensor& x, int repeats) {
   return t;
 }
 
-/// Sparsity-aware dispatch engine: naive vs gemm vs sparse throughput on
+/// Sparsity-aware dispatch engine: per-mode throughput on
 /// the same conv/dense shapes as RunKernelComparison, but with spike-like
 /// inputs at the representative SNN density of 10% nonzeros.
 DispatchTimings RunDispatchComparison(int repeats) {
@@ -607,10 +602,10 @@ int main(int argc, char** argv) {
   std::printf("\nkernel dispatch at %.0f%% spike density (ms/pass):\n",
               dispatch.density * 100.0);
   const auto print_modes = [](const char* name, const auto& m) {
-    std::printf("  %-11s naive %7.3f   gemm %7.3f   sparse %7.3f   "
+    std::printf("  %-11s naive %7.3f   sparse %7.3f   "
                 "simd %7.3f   auto %7.3f   best %5.2fx\n",
-                name, m.naive_ms, m.gemm_ms, m.sparse_ms, m.simd_ms,
-                m.auto_ms, m.best_speedup());
+                name, m.naive_ms, m.sparse_ms, m.simd_ms, m.auto_ms,
+                m.best_speedup());
   };
   print_modes("conv2d fp32", dispatch.conv_fp32);
   print_modes("conv2d int8", dispatch.conv_int8);
@@ -618,8 +613,8 @@ int main(int argc, char** argv) {
   print_modes("dense  int8", dispatch.dense_int8);
 
   // Dispatch contract: on int8 layers the auto mode must never lose to the
-  // naive reference — a regression here (e.g. the int32-im2col packing of
-  // the old gemm path) is exactly what this harness guards. 10% margin
+  // naive reference — a regression here (e.g. a dense fallback that packs
+  // more than it saves) is exactly what this harness guards. 10% margin
   // absorbs timer noise on shared runners.
   bool dispatch_ok = true;
   const auto check_auto = [&](const char* name, const auto& m) {
@@ -715,11 +710,11 @@ int main(int argc, char** argv) {
     const auto emit_modes = [f](const char* name, const auto& m,
                                 const char* tail) {
       std::fprintf(f,
-                   "    \"%s\": {\"naive_ms\": %.4f, \"gemm_ms\": %.4f, "
+                   "    \"%s\": {\"naive_ms\": %.4f, "
                    "\"sparse_ms\": %.4f, \"simd_ms\": %.4f, "
                    "\"auto_ms\": %.4f, \"best_speedup\": %.3f}%s\n",
-                   name, m.naive_ms, m.gemm_ms, m.sparse_ms, m.simd_ms,
-                   m.auto_ms, m.best_speedup(), tail);
+                   name, m.naive_ms, m.sparse_ms, m.simd_ms, m.auto_ms,
+                   m.best_speedup(), tail);
     };
     emit_modes("conv2d_fp32", dispatch.conv_fp32, ",");
     emit_modes("conv2d_int8", dispatch.conv_int8, ",");

@@ -1,6 +1,7 @@
 #include "kernels/conv2d_kernels.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "kernels/cpu_features.hpp"
@@ -101,149 +102,40 @@ void Conv2dNaive(const float* xd, const float* wd, const float* bd, float* od,
   });
 }
 
-// --- im2col + register-blocked GEMM ------------------------------------------
+// --- im2col pack for the fp32 simd tiles ------------------------------------
 
-/// Register tile: kMr out-channels x kNr output pixels of fp32/int32
-/// accumulators — 8 SSE lanes' worth, small enough to stay in registers
-/// across the whole k loop.
-constexpr long kMr = 4;
-constexpr long kNr = 8;
+/// Most im2col matrices one fp32 simd call keeps: each chunk rebuilds its
+/// matrix per sample, so capping the chunk count bounds the scratch (a
+/// default-grained loop would hold up to runtime::kMaxChunks of them per
+/// layer — measurably more peak RSS for no speed on a few cores).
+constexpr long kMaxConvPacks = 4;
 
 /// Writes one sample's im2col matrix: col[k][o] with k walking (ci, ky, kx)
 /// in the naive loop order and o = oy * w_out + ox. Padding / out-of-range
-/// positions pack as exact zeros, so the GEMM's extra terms are ±0 no-ops
-/// on the accumulation (the bit-identity argument in the header). DstT may
-/// narrow (int32 codes -> int8 col): conv activation codes are quantized
-/// to |q| <= 127 by construction, and narrowing during the pack is what
-/// removed the int8 gemm path's 4x packing-traffic penalty.
-template <typename SrcT, typename DstT>
-void PackIm2col(const SrcT* xs, DstT* col, const Dims& d) {
+/// positions pack as +0, whose terms are exact no-ops under
+/// ZeroTermsAreNoOps (kernels/dispatch.hpp).
+void PackIm2col(const float* xs, float* col, const Dims& d) {
   long k = 0;
   for (long ci = 0; ci < d.c_in; ++ci) {
-    const SrcT* xp = xs + ci * d.x_plane;
+    const float* xp = xs + ci * d.x_plane;
     for (long ky = 0; ky < d.kernel; ++ky) {
       for (long kx = 0; kx < d.kernel; ++kx, ++k) {
-        DstT* crow = col + k * d.o_plane;
+        float* crow = col + k * d.o_plane;
         const long ox_lo = std::max(0L, d.pad - kx);
         const long ox_hi = std::min(d.w_out, d.w + d.pad - kx);
         const long x_off = kx - d.pad;
         for (long oy = 0; oy < d.h_out; ++oy) {
           const long iy = oy + ky - d.pad;
-          DstT* dst = crow + oy * d.w_out;
+          float* dst = crow + oy * d.w_out;
           if (iy < 0 || iy >= d.h) {
-            for (long ox = 0; ox < d.w_out; ++ox) dst[ox] = DstT{0};
+            for (long ox = 0; ox < d.w_out; ++ox) dst[ox] = 0.0f;
             continue;
           }
-          const SrcT* xrow = xp + iy * d.w;
-          for (long ox = 0; ox < ox_lo; ++ox) dst[ox] = DstT{0};
-          for (long ox = ox_lo; ox < ox_hi; ++ox)
-            dst[ox] = static_cast<DstT>(xrow[ox + x_off]);
-          for (long ox = ox_hi; ox < d.w_out; ++ox) dst[ox] = DstT{0};
+          const float* xrow = xp + iy * d.w;
+          for (long ox = 0; ox < ox_lo; ++ox) dst[ox] = 0.0f;
+          for (long ox = ox_lo; ox < ox_hi; ++ox) dst[ox] = xrow[ox + x_off];
+          for (long ox = ox_hi; ox < d.w_out; ++ox) dst[ox] = 0.0f;
         }
-      }
-    }
-  }
-}
-
-/// Writes one sample's SIMD conv panel (layout in simd_kernels.hpp): 8
-/// output pixels per block, im2col k in dword groups of 4, byte
-/// (block, k4, pix, t) at ((block * kk4/4 + k4) * 8 + pix) * 4 + t holding
-/// the narrowed code for (k = 4*k4 + t, j = 8*block + pix). Out-of-range
-/// pixels (j >= o_plane), padded input positions, and the k tail up to kk4
-/// all pack as exact zeros, so the microkernel's extra MACs are no-ops.
-/// One sample's GEMM: out[co][o] = bias[co] + sum_k W[co][k] * col[k][o],
-/// k ascending — the naive accumulation order per output element. The
-/// noinline raw-pointer boundary and __restrict follow the int8 kernel's
-/// lesson (see DESIGN.md kernel notes): inlined into the pool lambda GCC
-/// stops keeping the accumulator tile in registers.
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((noinline))
-#endif
-void GemmSampleF32(const float* __restrict wd, const float* __restrict bd,
-                   const float* __restrict col, float* __restrict op,
-                   long c_out, long kk, long o_plane) {
-  for (long i0 = 0; i0 < c_out; i0 += kMr) {
-    const long mr = std::min(kMr, c_out - i0);
-    for (long j0 = 0; j0 < o_plane; j0 += kNr) {
-      const long nr = std::min(kNr, o_plane - j0);
-      if (mr == kMr && nr == kNr) {  // full tile: fixed trip counts vectorize
-        float acc[kMr][kNr];
-        for (long i = 0; i < kMr; ++i)
-          for (long j = 0; j < kNr; ++j) acc[i][j] = bd[i0 + i];
-        for (long k = 0; k < kk; ++k) {
-          const float* brow = col + k * o_plane + j0;
-          for (long i = 0; i < kMr; ++i) {
-            const float av = wd[(i0 + i) * kk + k];
-            for (long j = 0; j < kNr; ++j) acc[i][j] += av * brow[j];
-          }
-        }
-        for (long i = 0; i < kMr; ++i) {
-          float* crow = op + (i0 + i) * o_plane + j0;
-          for (long j = 0; j < kNr; ++j) crow[j] = acc[i][j];
-        }
-      } else {  // ragged edge tile
-        float acc[kMr][kNr];
-        for (long i = 0; i < mr; ++i)
-          for (long j = 0; j < nr; ++j) acc[i][j] = bd[i0 + i];
-        for (long k = 0; k < kk; ++k) {
-          const float* brow = col + k * o_plane + j0;
-          for (long i = 0; i < mr; ++i) {
-            const float av = wd[(i0 + i) * kk + k];
-            for (long j = 0; j < nr; ++j) acc[i][j] += av * brow[j];
-          }
-        }
-        for (long i = 0; i < mr; ++i) {
-          float* crow = op + (i0 + i) * o_plane + j0;
-          for (long j = 0; j < nr; ++j) crow[j] = acc[i][j];
-        }
-      }
-    }
-  }
-}
-
-/// Integer sibling of GemmSampleF32: exact int32 accumulation, requantized
-/// on write-out with act_scale * weight_scale[co] before the float bias.
-/// ColT is the packed code type — int8 since the packing-traffic fix
-/// (kernels/dispatch.hpp); the int32 instantiation remains valid.
-template <typename ColT>
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((noinline))
-#endif
-void GemmSampleI32(const std::int8_t* __restrict wd,
-                   const float* __restrict scales, float act_scale,
-                   const float* __restrict bd,
-                   const ColT* __restrict col, float* __restrict op,
-                   long c_out, long kk, long o_plane) {
-  for (long i0 = 0; i0 < c_out; i0 += kMr) {
-    const long mr = std::min(kMr, c_out - i0);
-    for (long j0 = 0; j0 < o_plane; j0 += kNr) {
-      const long nr = std::min(kNr, o_plane - j0);
-      std::int32_t acc[kMr][kNr] = {};
-      if (mr == kMr && nr == kNr) {
-        for (long k = 0; k < kk; ++k) {
-          const ColT* brow = col + k * o_plane + j0;
-          for (long i = 0; i < kMr; ++i) {
-            const std::int32_t av = wd[(i0 + i) * kk + k];
-            for (long j = 0; j < kNr; ++j)
-              acc[i][j] += av * static_cast<std::int32_t>(brow[j]);
-          }
-        }
-      } else {
-        for (long k = 0; k < kk; ++k) {
-          const ColT* brow = col + k * o_plane + j0;
-          for (long i = 0; i < mr; ++i) {
-            const std::int32_t av = wd[(i0 + i) * kk + k];
-            for (long j = 0; j < nr; ++j)
-              acc[i][j] += av * static_cast<std::int32_t>(brow[j]);
-          }
-        }
-      }
-      for (long i = 0; i < mr; ++i) {
-        const float requant = act_scale * scales[i0 + i];
-        const float b = bd[i0 + i];
-        float* crow = op + (i0 + i) * o_plane + j0;
-        for (long j = 0; j < nr; ++j)
-          crow[j] = static_cast<float>(acc[i][j]) * requant + b;
       }
     }
   }
@@ -288,7 +180,11 @@ long GatherNonzerosWords(const T* xs, const std::uint64_t* words,
 /// Scatters one sample's nonzeros through one output channel's weight
 /// block into `op` (already bias-initialized, o_plane floats). The (ky, kx)
 /// bounds clamp the scatter to in-range output pixels, so no out-of-range
-/// pointer is ever formed.
+/// pointer is ever formed. kSkipPruned skips zero weights as naive does;
+/// the caller sets it for samples holding inf/NaN, where 0 * inf would be
+/// NaN. For finite values a pruned term is a ±0 no-op (ZeroTermsAreNoOps),
+/// so the common case keeps the branch-free loop.
+template <bool kSkipPruned>
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((noinline))
 #endif
@@ -313,7 +209,8 @@ void ScatterChannelF32(const float* __restrict wf,
         const float* wrow = wp + ky * d.kernel;
         const long obase = ix + d.pad;
         for (long kx = kx_lo; kx <= kx_hi; ++kx)
-          orow[obase - kx] += wrow[kx] * v;
+          if (!kSkipPruned || wrow[kx] != 0.0f)
+            orow[obase - kx] += wrow[kx] * v;
       }
     }
   }
@@ -455,52 +352,47 @@ void Conv2dForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
       nonzero = ParallelPackSpikeWords(xd, d.n, d.x_sample, words.data());
       words_d = words.data();
     }
-    // Dense fallback naive: the reference loops vectorize their contiguous
-    // row MACs and skip pruned weights, and auto never picks the
-    // tolerance-gated fp32 simd path (see kernels/dispatch.hpp).
     mode = ChooseByDensity(mode,
                            static_cast<float>(nonzero) /
                                static_cast<float>(x.numel()),
-                           kConvSparseDensityMax, KernelMode::kNaive);
+                           kConvSparseDensityMax);
   }
   if (mode == KernelMode::kSimd &&
       ActiveSimdTier() == SimdTier::kScalar)
     mode = KernelMode::kNaive;  // forced simd without the tier: scalar ref
+  // simd's +0 padding terms and sparse's skipped zero activations are
+  // exact no-ops only under ZeroTermsAreNoOps (a -0 bias or a non-finite
+  // weight, e.g. after a weight bit flip, breaks it): naive then runs.
+  if (mode != KernelMode::kNaive && !ZeroTermsAreNoOps(weight, bias))
+    mode = KernelMode::kNaive;
 
   if (mode == KernelMode::kNaive) {
     Conv2dNaive(xd, wd, bd, od, d);
     return;
   }
 
-  const long grain = runtime::DefaultGrain(d.n);
-  const long chunks = runtime::NumChunks(d.n, grain);
-
-  if (mode == KernelMode::kGemm || mode == KernelMode::kSimd) {
-    // One im2col matrix per chunk; a chunk's samples reuse it in turn.
-    // simd swaps the scalar-tiled GEMM for the 8-wide FMA microkernel over
-    // the same packed matrix.
-    Tensor& pack =
-        scratch.Acquire(slots::kPack, chunks * d.w_per_out * d.o_plane);
+  if (mode == KernelMode::kSimd) {
+    const long grain = (d.n + kMaxConvPacks - 1) / kMaxConvPacks;
+    const long pack_size = d.w_per_out * d.o_plane;
+    Tensor& pack = scratch.Acquire(
+        slots::kPack, runtime::NumChunks(d.n, grain) * pack_size);
     float* pd = pack.data();
-    const bool use_simd = mode == KernelMode::kSimd;
     runtime::ParallelForChunks(
         0, d.n,
         [&](long chunk, long lo, long hi) {
-          float* col = pd + chunk * d.w_per_out * d.o_plane;
+          float* col = pd + chunk * pack_size;
           for (long s = lo; s < hi; ++s) {
             PackIm2col(xd + s * d.x_sample, col, d);
-            if (use_simd)
-              simd::ConvGemmF32(wd, bd, col, od + s * d.o_sample, d.c_out,
-                                d.w_per_out, d.o_plane);
-            else
-              GemmSampleF32(wd, bd, col, od + s * d.o_sample, d.c_out,
-                            d.w_per_out, d.o_plane);
+            simd::ConvGemmF32(wd, bd, col, od + s * d.o_sample, d.c_out,
+                              d.w_per_out, d.o_plane);
           }
         },
         grain);
     return;
   }
 
+  const long grain = runtime::DefaultGrain(d.n);
+  const long chunks = runtime::NumChunks(d.n, grain);
   // kSparse: per-chunk gather lists sized for one sample at a time.
   auto& offs = scratch.AcquireI32(
       slots::kOffsets, static_cast<std::size_t>(chunks * (d.c_in + 1)));
@@ -521,15 +413,21 @@ void Conv2dForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
         std::int32_t* c_cols = cols_d + chunk * d.x_sample;
         float* c_vals = vals_d + chunk * d.x_sample;
         for (long s = lo; s < hi; ++s) {
-          GatherNonzerosWords(xd + s * d.x_sample, words_d + s * wps, d,
-                              c_offs, c_rows, c_cols, c_vals);
+          const long m =
+              GatherNonzerosWords(xd + s * d.x_sample, words_d + s * wps, d,
+                                  c_offs, c_rows, c_cols, c_vals);
+          const auto scatter =
+              std::all_of(c_vals, c_vals + m,
+                          [](float v) { return std::isfinite(v); })
+                  ? &ScatterChannelF32<false>
+                  : &ScatterChannelF32<true>;
           float* os = od + s * d.o_sample;
           for (long co = 0; co < d.c_out; ++co) {
             float* op = os + co * d.o_plane;
             const float b = bd[co];
             for (long i = 0; i < d.o_plane; ++i) op[i] = b;
-            ScatterChannelF32(wd + co * d.w_per_out, c_offs, c_rows, c_cols,
-                              c_vals, op, d);
+            scatter(wd + co * d.w_per_out, c_offs, c_rows, c_cols, c_vals, op,
+                    d);
           }
         }
       },
@@ -575,12 +473,10 @@ void Int8Conv2dForward(const QuantizedTensor& weight, const Tensor& bias,
     // crossover drops (32-MAC instructions raise the dense work rate);
     // scalar machines keep the original naive fallback and threshold. All
     // candidates are bit-identical, so this never changes results.
-    const bool simd_ok = tier != SimdTier::kScalar;
     mode = ChooseByDensity(
-        mode,
-        static_cast<float>(nonzero) / static_cast<float>(x_numel),
-        simd_ok ? kConvSparseDensityMaxI8Simd : kConvSparseDensityMax,
-        simd_ok ? KernelMode::kSimd : KernelMode::kNaive);
+        mode, static_cast<float>(nonzero) / static_cast<float>(x_numel),
+        tier != SimdTier::kScalar ? kConvSparseDensityMaxI8Simd
+                                  : kConvSparseDensityMax);
   }
   if (mode == KernelMode::kSimd && tier == SimdTier::kScalar)
     mode = KernelMode::kNaive;  // forced simd without the tier: scalar ref
@@ -614,7 +510,7 @@ void Int8Conv2dForward(const QuantizedTensor& weight, const Tensor& bias,
   if (mode == KernelMode::kSimd) {
     // Weight rows staged once, zero-padded to the dword-group width; one
     // panel per chunk, rebuilt per sample (panels are pixel-blocked im2col,
-    // so this is the same O(kk * o_plane) pack as gemm's, int8-narrow).
+    // int8-narrow).
     const long kk4 = simd::RoundUp4(d.w_per_out);
     const long panel_bytes = kk4 * simd::RoundUp8(d.o_plane);
     auto& wpad = scratch.AcquireI8(slots::kWpad,
@@ -639,28 +535,6 @@ void Int8Conv2dForward(const QuantizedTensor& weight, const Tensor& bias,
             simd::ConvPanelI8(wpad_d, scales, act_scale, bd, p,
                               od + s * d.o_sample, d.c_out, kk4, d.o_plane,
                               vnni);
-          }
-        },
-        grain);
-    return;
-  }
-
-  if (mode == KernelMode::kGemm) {
-    // int8 col (narrowed during packing) — the int32 im2col this replaced
-    // was the whole regression: 4x the packing write+reread traffic with
-    // the same inner loop (see kernels/dispatch.hpp).
-    auto& pack = scratch.AcquireI8(
-        slots::kColI8,
-        static_cast<std::size_t>(chunks * d.w_per_out * d.o_plane));
-    std::int8_t* pd = pack.data();
-    runtime::ParallelForChunks(
-        0, d.n,
-        [&](long chunk, long lo, long hi) {
-          std::int8_t* col = pd + chunk * d.w_per_out * d.o_plane;
-          for (long s = lo; s < hi; ++s) {
-            PackIm2col(qact + s * d.x_sample, col, d);
-            GemmSampleI32(wd, scales, act_scale, bd, col, od + s * d.o_sample,
-                          d.c_out, d.w_per_out, d.o_plane);
           }
         },
         grain);

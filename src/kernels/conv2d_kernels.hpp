@@ -1,16 +1,18 @@
 // Convolution kernels (stride 1, symmetric zero padding) behind the
 // sparsity-aware dispatcher — fp32 and int8, each in three flavours
-// (naive / gemm / sparse; see kernels/dispatch.hpp for the taxonomy).
+// (naive / sparse / simd; see kernels/dispatch.hpp for the taxonomy).
 //
 // Equivalence contract: for every mode the per-output-element accumulation
 // runs bias-first, then the (ci, ky, kx) contributions in the naive loop
-// order — gemm walks the im2col k axis in exactly that order, and the
-// sparse scatter visits nonzeros in (ci, iy, ix) scan order, which for any
-// fixed output element is the same (ci, ky, kx) order. fp32 results are
-// therefore bit-identical across modes (terms the other modes add for
-// zero activations / padding are exact ±0 no-ops), and int8 results are
+// order with pruned (zero) weights skipped — the simd tiles walk the
+// im2col k axis in exactly that order, and the sparse scatter visits
+// nonzeros in (ci, iy, ix) scan order, which for any fixed output element
+// is the same (ci, ky, kx) order. fp32 results are therefore bit-identical
+// across modes: the terms simd adds for padding and the terms sparse skips
+// for zero activations are exact ±0 no-ops whenever ZeroTermsAreNoOps
+// holds, and the dispatcher runs naive when it does not. int8 results are
 // identical outright (int32 accumulation is exact). The differential suite
-// in tests/test_kernels.cpp pins this.
+// in tests/test_kernels.cpp pins this bit for bit.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,14 @@
 // Fully-connected kernels behind the sparsity-aware dispatcher — fp32 and
-// int8, each naive / gemm / sparse (see kernels/dispatch.hpp).
+// int8, each naive / sparse / simd (see kernels/dispatch.hpp).
 //
 // Equivalence contract: every mode accumulates each output element
 // bias-first, then the in-feature contributions in ascending-index order —
-// the naive loop order. The gemm tiles keep the i loop sequential per
-// element, and the sparse gather scans each sample row left to right, so
-// fp32 results are bit-identical across modes (skipped/extra zero-activation
-// terms are exact ±0 no-ops) and int8 results are identical outright.
+// the naive loop order, which skips nothing. The fp32 simd block keeps one
+// sample per vector lane with the i loop sequential, and the sparse gather
+// scans each sample row left to right, so fp32 results are bit-identical
+// across modes (the zero-activation terms sparse skips are exact ±0 no-ops
+// whenever ZeroTermsAreNoOps holds; the dispatcher runs naive when it does
+// not) and int8 results are identical outright.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +22,7 @@ namespace axsnn::kernels {
 
 /// fp32 dense forward over [*, F_in] -> [*, F_out]. `weight` is
 /// [F_out, F_in], `bias` [F_out]; `out` must already be sized. `scratch`
-/// owns the transposed packing buffer and gather lists. `packed`
+/// owns the simd path's transposed packs and the sparse gather lists. `packed`
 /// optionally supplies pre-built spike words (one row per sample, row
 /// length F_in) — see kernels::PackedWords.
 void DenseForward(const Tensor& weight, const Tensor& bias, const Tensor& x,

@@ -2,10 +2,13 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 
+#include "kernels/cpu_features.hpp"
 #include "kernels/spike_words.hpp"
 #include "runtime/parallel_for.hpp"
+#include "tensor/check.hpp"
 
 namespace axsnn::kernels {
 
@@ -15,8 +18,6 @@ const char* KernelModeName(KernelMode mode) {
       return "auto";
     case KernelMode::kNaive:
       return "naive";
-    case KernelMode::kGemm:
-      return "gemm";
     case KernelMode::kSparse:
       return "sparse";
     case KernelMode::kSimd:
@@ -28,7 +29,6 @@ const char* KernelModeName(KernelMode mode) {
 std::optional<KernelMode> ParseKernelMode(std::string_view name) {
   if (name == "auto") return KernelMode::kAuto;
   if (name == "naive") return KernelMode::kNaive;
-  if (name == "gemm") return KernelMode::kGemm;
   if (name == "sparse") return KernelMode::kSparse;
   if (name == "simd") return KernelMode::kSimd;
   return std::nullopt;
@@ -36,13 +36,10 @@ std::optional<KernelMode> ParseKernelMode(std::string_view name) {
 
 namespace {
 
-KernelMode ModeFromEnv() {
-  const char* env = std::getenv("AXSNN_KERNEL_MODE");
-  if (env == nullptr) return KernelMode::kAuto;
-  return ParseKernelMode(env).value_or(KernelMode::kAuto);
+std::atomic<KernelMode>& GlobalModeRef() {
+  static std::atomic<KernelMode> mode{KernelModeFromEnv()};
+  return mode;
 }
-
-std::atomic<KernelMode> g_mode{ModeFromEnv()};
 
 /// Shared chunked nonzero count: exact at any pool size (integer counting
 /// is order-independent; the fixed-chunk shape keeps that self-evident).
@@ -68,10 +65,22 @@ float DensityOf(const T* x, long n) {
 
 }  // namespace
 
-KernelMode GlobalKernelMode() { return g_mode.load(std::memory_order_relaxed); }
+KernelMode KernelModeFromEnv() {
+  const char* env = std::getenv("AXSNN_KERNEL_MODE");
+  if (env == nullptr) return KernelMode::kAuto;
+  const std::optional<KernelMode> mode = ParseKernelMode(env);
+  AXSNN_CHECK(mode.has_value(),
+              "AXSNN_KERNEL_MODE must be auto, naive, sparse or simd, got \""
+                  << env << "\"");
+  return *mode;
+}
+
+KernelMode GlobalKernelMode() {
+  return GlobalModeRef().load(std::memory_order_relaxed);
+}
 
 void SetGlobalKernelMode(KernelMode mode) {
-  g_mode.store(mode, std::memory_order_relaxed);
+  GlobalModeRef().store(mode, std::memory_order_relaxed);
 }
 
 float Density(const float* x, long n) { return DensityOf(x, n); }
@@ -126,10 +135,19 @@ KernelMode ResolveKernelMode(KernelMode requested) {
   return global != KernelMode::kAuto ? global : requested;
 }
 
-KernelMode ChooseByDensity(KernelMode mode, float density, float sparse_max,
-                           KernelMode dense_fallback) {
+KernelMode ChooseByDensity(KernelMode mode, float density, float sparse_max) {
   if (mode != KernelMode::kAuto) return mode;
-  return density <= sparse_max ? KernelMode::kSparse : dense_fallback;
+  if (density <= sparse_max) return KernelMode::kSparse;
+  return ActiveSimdTier() != SimdTier::kScalar ? KernelMode::kSimd
+                                               : KernelMode::kNaive;
+}
+
+bool ZeroTermsAreNoOps(const Tensor& weight, const Tensor& bias) {
+  for (float w : weight.flat())
+    if (!std::isfinite(w)) return false;
+  for (float b : bias.flat())
+    if (b == 0.0f && std::signbit(b)) return false;
+  return true;
 }
 
 }  // namespace axsnn::kernels

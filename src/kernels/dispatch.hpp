@@ -4,36 +4,27 @@
 // activations flowing through Conv2d/Dense are overwhelmingly zero (binary
 // spike trains, rate-encoded inputs, binned event frames), and Eq.-(1)
 // pruning adds weight sparsity on top. The kernel subsystem therefore ships
-// four implementations per (layer, precision) pair:
+// three implementations per (layer, precision) pair:
 //
 //   naive  — the original reference loops, retained verbatim. Every other
-//            path is pinned against it by the differential equivalence
-//            suite (tests/test_kernels.cpp).
-//   gemm   — im2col + register-blocked GEMM over packed buffers, for
-//            dense (mostly-nonzero) inputs. The int8 flavor packs int8
-//            codes (narrowed during im2col), not int32 — the int32 packing
-//            traffic was what made the original int8 gemm slower than
-//            naive.
+//            path is pinned against it bit for bit by the differential
+//            equivalence suite (tests/test_kernels.cpp).
 //   sparse — scans each input's bit-packed spike words (spike_words.hpp)
 //            and scatters weight rows per nonzero. Work is proportional to
 //            the *nonzero* count, so it wins whenever spike density is
 //            below the thresholds here.
 //   simd   — explicit AVX2/AVX-VNNI microkernels (simd_kernels.hpp) behind
-//            runtime CPUID detection (cpu_features.hpp). int8 simd is
-//            bit-identical to naive; fp32 simd is tolerance-gated and runs
-//            only when requested explicitly — see the numerics contract in
-//            simd_kernels.hpp.
+//            runtime CPUID detection (cpu_features.hpp). Exact in both
+//            precisions — see the numerics contract in simd_kernels.hpp.
 //
-// Above the sparse threshold the auto probe falls back to the *measured*
-// best dense path per kernel family, not unconditionally to one mode: on
-// the bench shapes (BENCH_runtime.json "kernel_dispatch") the int8
-// families pick simd when the ISA probe reports an active tier (naive
-// otherwise), fp32 dense picks gemm, and fp32 conv picks naive — auto
-// never selects fp32 simd because its FMA accumulation differs from the
-// naive order, and dispatch decisions must never change an experiment
-// outcome (the golden determinism test pins that end to end; every path
-// auto can select is bit-identical to naive). Re-calibrate with
-// bench_micro_runtime when the kernels or target hardware change.
+// Above the sparse threshold the auto probe falls back to simd when the
+// ISA probe reports an active tier and to naive otherwise, in every kernel
+// family. Dispatch decisions must never change an experiment outcome (the
+// golden determinism test pins that end to end), so every path auto can
+// select is bit-identical to naive — including on non-finite activations,
+// −0 inputs and padded borders. Where a fast path's skipped or extra ±0
+// terms would not be exact no-ops (a −0 bias, a non-finite weight — see
+// ZeroTermsAreNoOps), the dispatcher runs naive instead.
 //
 // Mode precedence for one kernel call:
 //   1. a non-auto *global* mode (AXSNN_KERNEL_MODE env var, or
@@ -43,32 +34,41 @@
 //      (ApproxConfig::kernel_mode -> Conv2d/Dense::set_kernel_mode);
 //   3. otherwise (auto) a per-call density probe (a popcount over the
 //      spike words) picks sparse at or below the density thresholds;
-//   4. above them the family's dense fallback applies, consulting
-//      ActiveSimdTier() for the int8 families (the ISA probe).
+//   4. above them the dense fallback applies: simd or naive by
+//      ActiveSimdTier() (the ISA probe).
 // A forced simd mode (rule 1 or 2) on a machine or build without the SIMD
-// tier degrades to naive — always safe because int8 simd is bit-identical
-// and fp32 simd is opt-in; AXSNN_SIMD=off therefore exercises the scalar
-// fallback everywhere without touching results.
+// tier degrades to naive — always safe because simd is bit-identical;
+// AXSNN_SIMD=off therefore exercises the scalar fallback everywhere
+// without touching results.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string_view>
 
+#include "tensor/tensor.hpp"
+
 namespace axsnn::kernels {
 
 /// Kernel implementation selector; kAuto defers to the density probe.
-enum class KernelMode { kAuto, kNaive, kGemm, kSparse, kSimd };
+enum class KernelMode { kAuto, kNaive, kSparse, kSimd };
 
-/// "auto" / "naive" / "gemm" / "sparse" / "simd".
+/// "auto" / "naive" / "sparse" / "simd".
 const char* KernelModeName(KernelMode mode);
 
 /// Inverse of KernelModeName; nullopt for unknown names.
 std::optional<KernelMode> ParseKernelMode(std::string_view name);
 
-/// Process-global mode, initialized once from the AXSNN_KERNEL_MODE
-/// environment variable (unset / unparsable -> kAuto). A non-auto global
-/// mode overrides every per-layer setting (precedence rule 1 above).
+/// The mode the AXSNN_KERNEL_MODE environment variable names (kAuto when
+/// unset). A set but unknown value — a typo, or a mode that no longer
+/// exists such as "gemm" — throws std::invalid_argument naming it, the
+/// same contract as AXSNN_THREADS: it must never silently run auto.
+KernelMode KernelModeFromEnv();
+
+/// Process-global mode, initialized from KernelModeFromEnv() on first use
+/// (so a bad AXSNN_KERNEL_MODE throws from the first kernel call). A
+/// non-auto global mode overrides every per-layer setting (precedence
+/// rule 1 above).
 KernelMode GlobalKernelMode();
 
 /// Overrides the global mode at runtime (tests, benchmarks). Not
@@ -145,21 +145,29 @@ struct PackedWords {
   long nonzero = 0;
 };
 
+/// True when dropping or adding a ±0 product term can never change an fp32
+/// accumulation that starts at one of `bias`'s values: every weight is
+/// finite (so w * ±0 is ±0, never NaN) and no bias is −0 (so no
+/// accumulator is ever −0, the one value a +0 term changes). The fp32 simd
+/// conv (+0 at padded taps) and the fp32 sparse paths (zero activations
+/// skipped) are bit-identical to naive exactly under this condition; the
+/// dispatchers run naive when it fails. O(weights) — a few microseconds.
+bool ZeroTermsAreNoOps(const Tensor& weight, const Tensor& bias);
+
 /// Applies precedence rule 1: a non-auto global mode wins over `requested`.
 KernelMode ResolveKernelMode(KernelMode requested);
 
-/// Applies precedence rules 3-4: maps kAuto to kSparse below `sparse_max`,
-/// to `dense_fallback` (the family's measured-best dense path — see the
-/// file comment) at or above it. Non-auto modes pass through unchanged.
-KernelMode ChooseByDensity(KernelMode mode, float density, float sparse_max,
-                           KernelMode dense_fallback);
+/// Applies precedence rules 3-4: maps kAuto to kSparse at or below
+/// `sparse_max`, and above it to kSimd when ActiveSimdTier() is not scalar,
+/// else kNaive. Non-auto modes pass through unchanged.
+KernelMode ChooseByDensity(KernelMode mode, float density, float sparse_max);
 
 /// Workspace slot map shared by the kernel implementations. Each Conv2d /
 /// Dense layer owns one scratch Workspace (runtime::LocalScratch), so slot
 /// indices only need to be unique within one layer's kernel calls.
 namespace slots {
 // float slots (Workspace::Acquire)
-inline constexpr std::size_t kPack = 0;        ///< im2col / transposed packs
+inline constexpr std::size_t kPack = 0;        ///< fp32 simd packs
 inline constexpr std::size_t kSparseVals = 1;  ///< gathered nonzero values
 // int32 slots (Workspace::AcquireI32)
 inline constexpr std::size_t kOffsets = 0;  ///< per-plane nonzero offsets
@@ -170,9 +178,8 @@ inline constexpr std::size_t kAcc = 4;      ///< int8 accumulator planes
 inline constexpr std::size_t kQVals = 5;    ///< gathered / packed codes
 // int8 slots (Workspace::AcquireI8)
 inline constexpr std::size_t kQActI8 = 0;  ///< dense activation codes
-inline constexpr std::size_t kColI8 = 1;   ///< int8 im2col (gemm path)
-inline constexpr std::size_t kPanel = 2;   ///< SIMD conv int8 panels
-inline constexpr std::size_t kWpad = 3;    ///< kk4-padded int8 weight rows
+inline constexpr std::size_t kPanel = 1;  ///< SIMD conv int8 panels
+inline constexpr std::size_t kWpad = 2;   ///< kk4-padded int8 weight rows
 // uint64 slots (Workspace::AcquireU64)
 inline constexpr std::size_t kWords = 0;  ///< bit-packed spike words
 }  // namespace slots

@@ -1,11 +1,10 @@
 // AVX2/FMA microkernels — with simd_kernels_vnni.cpp, the only translation
 // units built with vector ISA flags (see CMakeLists: -mavx2 -mfma
 // -ffp-contract=off on exactly these sources, gated on a compiler probe).
-// -ffp-contract=off matters: the int8 requantization must round multiply
-// and add separately to stay bit-identical to the naive kernels, and GCC
-// would otherwise be free to contract the mul+add intrinsic pair into an
-// FMA. Where fusion is wanted (fp32 tiles) it is spelled explicitly with
-// _mm256_fmadd_ps, which contract=off does not touch.
+// -ffp-contract=off matters: the fp32 tiles, their scalar tails and the
+// int8 requantization must round multiply and add separately to stay
+// bit-identical to the naive kernels, and GCC would otherwise be free to
+// contract a mul+add pair into an FMA.
 //
 // Without AVX2+FMA compiler support every entry point compiles to an
 // aborting stub; that is safe because SimdKernelsCompiled() then returns
@@ -50,109 +49,89 @@ namespace axsnn::kernels::simd {
 
 namespace {
 
-/// Horizontal sum of the 8 float lanes (lane order fixed; the dense fp32
-/// path is tolerance-gated, so cross-lane order just needs determinism).
-inline float HsumF32(__m256 v) {
-  __m128 s =
-      _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
-  return _mm_cvtss_f32(s);
+/// Lane mask selecting the first `live` of 8 lanes (1 <= live <= 8).
+inline __m256i FirstLanes(long live) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(live)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// One output channel over NT 8-pixel tiles in flight (NT independent add
+/// chains streaming one col row per k). The last tile's loads and store
+/// are masked to `last` — dead lanes load 0 and are never written.
+template <int NT>
+inline void ConvBlockF32(const float* wrow, float bias, const float* cj,
+                         float* oj, long kk, long o_plane, __m256i last) {
+  __m256 acc[NT];
+  for (int t = 0; t < NT; ++t) acc[t] = _mm256_set1_ps(bias);
+  for (long k = 0; k < kk; ++k) {
+    const float w = wrow[k];
+    if (w == 0.0f) continue;  // pruned weight: skipped, as in naive
+    const __m256 vw = _mm256_set1_ps(w);
+    const float* c = cj + k * o_plane;
+    for (int t = 0; t < NT - 1; ++t)
+      acc[t] = _mm256_add_ps(acc[t],
+                             _mm256_mul_ps(vw, _mm256_loadu_ps(c + 8 * t)));
+    acc[NT - 1] = _mm256_add_ps(
+        acc[NT - 1],
+        _mm256_mul_ps(vw, _mm256_maskload_ps(c + 8 * (NT - 1), last)));
+  }
+  for (int t = 0; t < NT - 1; ++t) _mm256_storeu_ps(oj + 8 * t, acc[t]);
+  _mm256_maskstore_ps(oj + 8 * (NT - 1), last, acc[NT - 1]);
+}
+
+/// R output features over one transposed 8-sample block: R independent
+/// add chains share every activation load, and each lane is one sample's
+/// sequential dot product. Lanes past `nr` are never written back.
+template <int R>
+inline void DenseRowsF32(const float* w, const float* bias, const float* xt,
+                         float* os, long nr, long f_in, long f_out) {
+  __m256 acc[R];
+  for (int r = 0; r < R; ++r) acc[r] = _mm256_set1_ps(bias[r]);
+  for (long i = 0; i < f_in; ++i) {
+    const __m256 xv = _mm256_loadu_ps(xt + i * 8);
+    for (int r = 0; r < R; ++r)
+      acc[r] = _mm256_add_ps(
+          acc[r], _mm256_mul_ps(_mm256_set1_ps(w[r * f_in + i]), xv));
+  }
+  alignas(32) float lanes[R][8];
+  for (int r = 0; r < R; ++r) _mm256_store_ps(lanes[r], acc[r]);
+  for (long s = 0; s < nr; ++s)
+    for (int r = 0; r < R; ++r) os[s * f_out + r] = lanes[r][s];
 }
 
 }  // namespace
 
 void ConvGemmF32(const float* wd, const float* bd, const float* col,
                  float* op, long c_out, long kk, long o_plane) {
-  const long vend32 = o_plane & ~31L;
+  const long full = o_plane & ~31L;  // whole 32-pixel blocks
+  const long tail = o_plane - full;  // 0..31 pixels left over
+  const long tail_tiles = (tail + 7) / 8;
+  const __m256i all = FirstLanes(8);
+  const __m256i last = FirstLanes(tail - 8 * (tail_tiles - 1));
   for (long co = 0; co < c_out; ++co) {
     const float* wrow = wd + co * kk;
-    const __m256 vbias = _mm256_set1_ps(bd[co]);
     float* orow = op + co * o_plane;
-    long j = 0;
-    for (; j < vend32; j += 32) {
-      // Four 8-pixel tiles in flight: enough independent FMA chains to
-      // cover the 4-cycle latency while streaming one col row per k.
-      __m256 a0 = vbias, a1 = vbias, a2 = vbias, a3 = vbias;
-      for (long k = 0; k < kk; ++k) {
-        const float w = wrow[k];
-        if (w == 0.0f) continue;  // pruned weight: whole row of no-ops
-        const __m256 vw = _mm256_set1_ps(w);
-        const float* c = col + k * o_plane + j;
-        a0 = _mm256_fmadd_ps(vw, _mm256_loadu_ps(c), a0);
-        a1 = _mm256_fmadd_ps(vw, _mm256_loadu_ps(c + 8), a1);
-        a2 = _mm256_fmadd_ps(vw, _mm256_loadu_ps(c + 16), a2);
-        a3 = _mm256_fmadd_ps(vw, _mm256_loadu_ps(c + 24), a3);
-      }
-      _mm256_storeu_ps(orow + j, a0);
-      _mm256_storeu_ps(orow + j + 8, a1);
-      _mm256_storeu_ps(orow + j + 16, a2);
-      _mm256_storeu_ps(orow + j + 24, a3);
-    }
-    for (; j + 8 <= o_plane; j += 8) {
-      __m256 acc = vbias;
-      for (long k = 0; k < kk; ++k) {
-        const float w = wrow[k];
-        if (w == 0.0f) continue;
-        acc = _mm256_fmadd_ps(_mm256_set1_ps(w),
-                              _mm256_loadu_ps(col + k * o_plane + j), acc);
-      }
-      _mm256_storeu_ps(orow + j, acc);
-    }
-    for (; j < o_plane; ++j) {
-      float acc = bd[co];
-      for (long k = 0; k < kk; ++k)
-        acc += wrow[k] * col[k * o_plane + j];
-      orow[j] = acc;
+    for (long j = 0; j < full; j += 32)
+      ConvBlockF32<4>(wrow, bd[co], col + j, orow + j, kk, o_plane, all);
+    const float* ct = col + full;
+    float* ot = orow + full;
+    switch (tail_tiles) {
+      case 1: ConvBlockF32<1>(wrow, bd[co], ct, ot, kk, o_plane, last); break;
+      case 2: ConvBlockF32<2>(wrow, bd[co], ct, ot, kk, o_plane, last); break;
+      case 3: ConvBlockF32<3>(wrow, bd[co], ct, ot, kk, o_plane, last); break;
+      case 4: ConvBlockF32<4>(wrow, bd[co], ct, ot, kk, o_plane, last); break;
+      default: break;
     }
   }
 }
 
-void DenseRowsF32(const float* wd, const float* bd, const float* xd,
-                  float* od, long lo, long hi, long f_in, long f_out) {
-  const long vend = f_in & ~7L;
-  for (long s = lo; s < hi; ++s) {
-    const float* xs = xd + s * f_in;
-    float* os = od + s * f_out;
-    long o = 0;
-    for (; o + 4 <= f_out; o += 4) {
-      // Four output features share every 8-lane activation load.
-      const float* w0 = wd + o * f_in;
-      const float* w1 = w0 + f_in;
-      const float* w2 = w1 + f_in;
-      const float* w3 = w2 + f_in;
-      __m256 a0 = _mm256_setzero_ps();
-      __m256 a1 = _mm256_setzero_ps();
-      __m256 a2 = _mm256_setzero_ps();
-      __m256 a3 = _mm256_setzero_ps();
-      for (long i = 0; i < vend; i += 8) {
-        const __m256 xv = _mm256_loadu_ps(xs + i);
-        a0 = _mm256_fmadd_ps(_mm256_loadu_ps(w0 + i), xv, a0);
-        a1 = _mm256_fmadd_ps(_mm256_loadu_ps(w1 + i), xv, a1);
-        a2 = _mm256_fmadd_ps(_mm256_loadu_ps(w2 + i), xv, a2);
-        a3 = _mm256_fmadd_ps(_mm256_loadu_ps(w3 + i), xv, a3);
-      }
-      float sum[4] = {HsumF32(a0), HsumF32(a1), HsumF32(a2), HsumF32(a3)};
-      for (long i = vend; i < f_in; ++i) {
-        const float xv = xs[i];
-        sum[0] += w0[i] * xv;
-        sum[1] += w1[i] * xv;
-        sum[2] += w2[i] * xv;
-        sum[3] += w3[i] * xv;
-      }
-      for (int r = 0; r < 4; ++r) os[o + r] = bd[o + r] + sum[r];
-    }
-    for (; o < f_out; ++o) {
-      const float* wr = wd + o * f_in;
-      __m256 acc = _mm256_setzero_ps();
-      for (long i = 0; i < vend; i += 8)
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(wr + i),
-                              _mm256_loadu_ps(xs + i), acc);
-      float sum = HsumF32(acc);
-      for (long i = vend; i < f_in; ++i) sum += wr[i] * xs[i];
-      os[o] = bd[o] + sum;
-    }
-  }
+void DenseBlockF32(const float* wd, const float* bd, const float* xt,
+                   float* os, long nr, long f_in, long f_out) {
+  long o = 0;
+  for (; o + 8 <= f_out; o += 8)
+    DenseRowsF32<8>(wd + o * f_in, bd + o, xt, os + o, nr, f_in, f_out);
+  for (; o < f_out; ++o)
+    DenseRowsF32<1>(wd + o * f_in, bd + o, xt, os + o, nr, f_in, f_out);
 }
 
 void ConvPanelI8(const std::int8_t* wpad, const float* scales,
@@ -321,8 +300,8 @@ void ConvGemmF32(const float*, const float*, const float*, float*, long,
                  long, long) {
   std::abort();
 }
-void DenseRowsF32(const float*, const float*, const float*, float*, long,
-                  long, long, long) {
+void DenseBlockF32(const float*, const float*, const float*, float*, long,
+                   long, long) {
   std::abort();
 }
 void ConvPanelI8(const std::int8_t*, const float*, float, const float*,

@@ -1,23 +1,25 @@
-// SIMD microkernels: AVX2/AVX-VNNI int8 dot products and 8-wide FMA fp32
+// SIMD microkernels: AVX2/AVX-VNNI int8 dot products and 8-wide fp32
 // tiles. This header is intrinsic-free — every vector instruction lives in
 // simd_kernels.cpp, the one translation unit built with -mavx2 -mfma
 // (CMakeLists guards the flags, cpu_features.hpp gates execution at
 // runtime), so including it never leaks ISA requirements into other TUs.
 //
-// Numerics contract (see DESIGN.md "SIMD kernel tier"):
-//  * int8 kernels are EXACT — bit-identical to the naive reference. The
-//    product a*w is computed as |a| * (w * sign(a)) so vpdpbusd/vpmaddubsw
-//    get their unsigned operand without any +128 shift or compensation
-//    term, and with |a| <= 127, |w| <= 127 the maddubs pair sums stay below
-//    int16 saturation. The int32 accumulator value is therefore identical
-//    to the naive loop's regardless of summation order, and the single
-//    requantization multiply matches the naive write-out bit for bit.
-//  * fp32 kernels are TOLERANCE-GATED — FMA fuses the multiply-add rounding
-//    and the dense row dots split the accumulation across 8 lanes, so
-//    results differ from the naive order by normal accumulation rounding.
-//    The auto-dispatch probe therefore never selects the fp32 SIMD path
-//    (it would break the byte-identical-across-modes rail); it runs only
-//    when KernelMode::kSimd is requested explicitly.
+// Numerics contract (see DESIGN.md "SIMD kernel tier"): every kernel here
+// is EXACT — bit-identical to the naive reference — so auto may select any
+// of them.
+//  * int8: the product a*w is computed as |a| * (w * sign(a)) so
+//    vpdpbusd/vpmaddubsw get their unsigned operand without any +128 shift
+//    or compensation term, and with |a| <= 127, |w| <= 127 the maddubs pair
+//    sums stay below int16 saturation. The int32 accumulator value is
+//    therefore identical to the naive loop's regardless of summation
+//    order, and the single requantization multiply matches the naive
+//    write-out bit for bit.
+//  * fp32: each vector lane is one output element's own accumulator,
+//    started at the bias and advanced by a rounded multiply then a rounded
+//    add (never an FMA — the TU builds with -ffp-contract=off) over the
+//    naive term order: conv k = (ci, ky, kx) ascending with pruned (zero)
+//    weights skipped, dense i ascending with nothing skipped. No lane ever
+//    reads another, so there are no horizontal sums to reorder.
 //
 // int8 conv panel layout ("panel" arguments): output pixels are grouped in
 // blocks of 8 and the im2col k axis in groups of 4, matching one vpdpbusd:
@@ -35,19 +37,23 @@ namespace axsnn::kernels::simd {
 inline long RoundUp4(long v) { return (v + 3) & ~3L; }
 inline long RoundUp8(long v) { return (v + 7) & ~7L; }
 
-// --- fp32 (FMA tiles; tolerance-gated) ---------------------------------------
+// --- fp32 (exact) ------------------------------------------------------------
 
-/// One sample's conv GEMM over a row-major im2col matrix col[kk][o_plane]:
-/// op[co][j] = bd[co] + sum_k wd[co*kk+k] * col[k][j], FMA-tiled 8 pixels
-/// wide with 4 tiles in flight; trailing pixels (o_plane % 8) accumulate
-/// scalar in the naive k order.
+/// One sample's conv over a row-major im2col matrix col[kk][o_plane]:
+/// op[co][j] = bd[co] + sum_k wd[co*kk+k] * col[k][j], 8-pixel tiles with up
+/// to 4 in flight; the last tile masks off the pixels past o_plane. The
+/// im2col matrix holds +0 at padded taps, where naive adds nothing: the
+/// +0 term is an exact no-op only when every weight is finite and no bias
+/// is −0, which the caller must guarantee (kernels::ZeroTermsAreNoOps).
 void ConvGemmF32(const float* wd, const float* bd, const float* col,
                  float* op, long c_out, long kk, long o_plane);
 
-/// Dense rows [lo, hi): od[s][o] = bd[o] + dot(wd[o], xd[s]) with the dot
-/// split across 8 FMA lanes and reduced horizontally; f_in tail scalar.
-void DenseRowsF32(const float* wd, const float* bd, const float* xd,
-                  float* od, long lo, long hi, long f_in, long f_out);
+/// Dense over one block of up to 8 samples packed transposed
+/// (xt[i * 8 + j] = sample j's feature i; lanes past `nr` are padding and
+/// are never written back): os[j][o] = bd[o] + sum_i wd[o][i] * xt[i][j],
+/// one sample per lane, 8 output features in flight.
+void DenseBlockF32(const float* wd, const float* bd, const float* xt,
+                   float* os, long nr, long f_in, long f_out);
 
 // --- int8 (exact) ------------------------------------------------------------
 

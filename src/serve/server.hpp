@@ -13,7 +13,7 @@
 //    single-threaded by contract) plus a packing Workspace; a batch of N
 //    same-shaped requests is packed into one time-major [T, N, ...] tensor
 //    and served by ONE ForwardShared call, so the batch dimension flows
-//    through the im2col/GEMM/SIMD kernel tiles. Requests whose sample
+//    through the sparse/SIMD kernel paths. Requests whose sample
 //    shape differs are served as separate sub-batches, in order.
 //  * Determinism contract: a batch-of-N result is bit-identical to N
 //    sequential single-sample forwards at every kernel mode and pool size —

@@ -4,6 +4,7 @@
 // same sweep-grid numbers — across spike densities, kernel modes, precision
 // backends and pool geometries. Exact float equality throughout: the event
 // path reorders no arithmetic, so == is the contract, not a tolerance.
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -63,7 +64,9 @@ void SilenceOddSteps(Tensor& frames_btx) {
 void ExpectBitIdentical(const Tensor& a, const Tensor& b, const char* what) {
   ASSERT_EQ(a.shape(), b.shape()) << what;
   for (long i = 0; i < a.numel(); ++i)
-    ASSERT_EQ(a[i], b[i]) << what << ": element " << i;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]),
+              std::bit_cast<std::uint32_t>(b[i]))
+        << what << ": element " << i;
 }
 
 /// Small DVS net (16x16 sensor) — the real architecture at test size.
@@ -210,10 +213,8 @@ TEST(EventPipeline, Fp32BitIdenticalAcrossDensitiesAndKernelModes) {
       {"half-dense", 0.5, false},
       {"saturated", 1.0, false},
   };
-  // fp32 SIMD is tolerance-gated (never auto-selected), so the exact-equality
-  // matrix covers the bit-identical modes only; int8 below covers kSimd.
   const KernelMode kModes[] = {KernelMode::kAuto, KernelMode::kNaive,
-                               KernelMode::kGemm, KernelMode::kSparse};
+                               KernelMode::kSparse, KernelMode::kSimd};
   for (const auto& c : kCases) {
     Tensor frames = RandomBinaryFrames(3, 6, 2, 16, 16, c.density, 41);
     if (c.silence_odd) SilenceOddSteps(frames);
@@ -235,7 +236,7 @@ TEST(EventPipeline, NonBinaryFramesFallBackToDense) {
   ExpectBitIdentical(dense, event, "non-binary fallback");
 }
 
-// --- End-to-end bit-identity: int8 backend, all five kernel modes ----------
+// --- End-to-end bit-identity: int8 backend, all four kernel modes ----------
 
 TEST(EventPipeline, Int8BitIdenticalAcrossKernelModes) {
   snn::Network net = SmallDvsNet();
@@ -254,8 +255,7 @@ TEST(EventPipeline, Int8BitIdenticalAcrossKernelModes) {
   Tensor frames = RandomBinaryFrames(3, 6, 2, 16, 16, 0.4, 53);
   SilenceOddSteps(frames);
   const KernelMode kModes[] = {KernelMode::kAuto, KernelMode::kNaive,
-                               KernelMode::kGemm, KernelMode::kSparse,
-                               KernelMode::kSimd};
+                               KernelMode::kSparse, KernelMode::kSimd};
   for (KernelMode mode : kModes) {
     ScopedKernelMode scoped_mode(mode);
     Tensor dense = DenseLogits(ax, frames);

@@ -5,6 +5,7 @@
 // tier-1 networks.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -128,6 +129,14 @@ float MaxDiff(const Tensor& a, const Tensor& b) {
   return m;
 }
 
+/// Bit-pattern equality (float == would equate +0 with −0 and never a NaN
+/// with itself).
+bool BitIdentical(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
 /// Random binary spike tensor.
 Tensor SpikeTensor(Shape shape, Rng& rng, float density = 0.3f) {
   Tensor x(std::move(shape));
@@ -154,7 +163,7 @@ TEST(Int8Conv2dForward, MatchesFloatReferenceOnLatticeWeights) {
 
   conv.DisableInt8Kernel();
   Tensor float_again = conv.Forward(x, false);
-  EXPECT_TRUE(float_again.AllClose(reference, 0.0f));
+  EXPECT_TRUE(BitIdentical(float_again, reference));
 }
 
 TEST(Int8DenseForward, MatchesFloatReferenceOnLatticeWeights) {
@@ -222,8 +231,8 @@ TEST(Int8Kernels, CloneKeepsBackendEnabled) {
   ASSERT_NE(dense_copy, nullptr);
   EXPECT_TRUE(dense_copy->int8_kernel());
   Tensor x = SpikeTensor({2, 2, 16}, rng);
-  EXPECT_TRUE(dense_copy->Forward(x, false).AllClose(fc.Forward(x, false),
-                                                     0.0f));
+  EXPECT_TRUE(BitIdentical(dense_copy->Forward(x, false),
+                           fc.Forward(x, false)));
 }
 
 // --- whole-network determinism (acceptance criterion) -----------------------

@@ -1,26 +1,30 @@
 // Differential kernel-equivalence suite for the sparsity-aware dispatch
-// engine (src/kernels/): every kernel flavour (naive / gemm / sparse /
-// simd) must produce the *same* result for the same inputs — bit-identical
-// for fp32 naive/gemm/sparse (identical per-element accumulation order, see
-// kernels/*.hpp), bit-identical for every int8 flavour including simd
-// (integer accumulation is exact and the requantize rounds identically —
-// kernels/simd_kernels.hpp), and within a documented accumulation-order
-// tolerance for fp32 simd (FMA fuses the rounding; that is why auto never
-// selects it).
+// engine (src/kernels/): every kernel flavour (naive / sparse / simd) must
+// produce the *same* result for the same inputs, bit for bit — fp32
+// included (identical per-element accumulation order, no FMA; see
+// kernels/*.hpp) and every int8 flavour (integer accumulation is exact and
+// the requantize rounds identically — kernels/simd_kernels.hpp). "Same"
+// means the same bit pattern: +0 and −0 differ, and a NaN must meet a NaN
+// (its payload is not compared — see Bits).
 //
 // The suite sweeps shapes (1x1 kernels, pad 0 and kernel-1, H=W=1, single
 // channels, odd sizes), spike densities 0 / 1% / 50% / 100%, and pool sizes
-// 1 and 4, then pins the end-to-end guarantee with a golden determinism
-// test: a fig2-style mini sweep whose report is byte-identical across every
-// kernel mode and pool size, so Algorithm-1 search results can never depend
-// on the dispatch decision.
+// 1 and 4; a special-value case adds +inf (an activation bit flip of a
+// 1.0f spike), NaN, −0 inputs, −0 biases and non-finite weights. A golden
+// determinism test then pins the end-to-end guarantee: a fig2-style mini
+// sweep whose report is byte-identical across every kernel mode and pool
+// size, so Algorithm-1 search results can never depend on the dispatch
+// decision.
 //
 // Modes are forced through SetGlobalKernelMode (precedence rule 1), so the
 // comparisons stay meaningful even when CI exports AXSNN_KERNEL_MODE.
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -78,42 +82,26 @@ Tensor MakePrunedWeights(Shape shape, Rng& rng) {
   return w;
 }
 
-/// ULP distance between two floats (max() for sign mismatch / non-finite).
-long UlpDistance(float a, float b) {
-  if (a == b) return 0;
-  if (!std::isfinite(a) || !std::isfinite(b)) return 1L << 30;
-  const auto ia = std::bit_cast<std::int32_t>(a);
-  const auto ib = std::bit_cast<std::int32_t>(b);
-  if ((ia < 0) != (ib < 0)) return 1L << 30;
-  return std::labs(static_cast<long>(ia) - static_cast<long>(ib));
+/// A float's bit pattern, with every NaN mapped to one quiet NaN. IEEE 754
+/// leaves unspecified which NaN an add of two NaNs returns, and the
+/// compiler may commute any add — the naive reference's own unrolled loops
+/// alternate acc + p and p + acc — so a NaN's sign and payload are a
+/// code-generation artifact that no kernel can promise to reproduce.
+/// Everything else compares exactly: ±0, the sign of inf, NaN versus a
+/// number, every finite value.
+std::uint32_t Bits(float v) {
+  return std::isnan(v) ? 0x7fc00000u : std::bit_cast<std::uint32_t>(v);
 }
 
+/// Bit-pattern equality (see Bits): unlike float ==, tells +0 from −0 and
+/// matches a NaN with a NaN.
 void ExpectBitIdentical(const Tensor& got, const Tensor& want,
                         const char* what) {
   ASSERT_EQ(got.shape(), want.shape()) << what;
   for (long i = 0; i < got.numel(); ++i)
-    ASSERT_EQ(got[i], want[i]) << what << " diverges at flat index " << i;
-}
-
-void ExpectWithinOneUlp(const Tensor& got, const Tensor& want,
-                        const char* what) {
-  ASSERT_EQ(got.shape(), want.shape()) << what;
-  for (long i = 0; i < got.numel(); ++i)
-    ASSERT_LE(UlpDistance(got[i], want[i]), 1)
+    ASSERT_EQ(Bits(got[i]), Bits(want[i]))
         << what << " diverges at flat index " << i << ": " << got[i]
         << " vs " << want[i];
-}
-
-/// The fp32 SIMD contract (kernels/simd_kernels.hpp): same math, different
-/// accumulation rounding (FMA fusion, 8-lane splits). Bounded by normal
-/// accumulation error at these fan-ins, nowhere near bit-identical — which
-/// is exactly why auto never picks the path.
-void ExpectWithinAccumTolerance(const Tensor& got, const Tensor& want,
-                                const char* what) {
-  ASSERT_EQ(got.shape(), want.shape()) << what;
-  for (long i = 0; i < got.numel(); ++i)
-    ASSERT_NEAR(got[i], want[i], 1e-4f + 1e-4f * std::fabs(want[i]))
-        << what << " diverges at flat index " << i;
 }
 
 /// True when the machine + build can run the AVX2 tier at all; the simd
@@ -166,15 +154,13 @@ TEST(KernelEquivalence, Conv2dFp32BitIdenticalAcrossModes) {
                      << " density=" << density);
         Tensor x = MakeSpikes({c.n, c.c_in, c.h, c.w}, density, rng);
         Tensor naive = RunConv(c, w, b, x, KernelMode::kNaive);
-        ExpectBitIdentical(RunConv(c, w, b, x, KernelMode::kGemm), naive,
-                           "conv2d gemm");
         ExpectBitIdentical(RunConv(c, w, b, x, KernelMode::kSparse), naive,
                            "conv2d sparse");
         ExpectBitIdentical(RunConv(c, w, b, x, KernelMode::kAuto), naive,
                            "conv2d auto");
         if (SimdTierAvailable())
-          ExpectWithinAccumTolerance(RunConv(c, w, b, x, KernelMode::kSimd),
-                                     naive, "conv2d simd");
+          ExpectBitIdentical(RunConv(c, w, b, x, KernelMode::kSimd), naive,
+                             "conv2d simd");
         {
           // Forced-ISA-off: simd must degrade to the scalar reference.
           kernels::ScopedSimdTier scalar(kernels::SimdTier::kScalar);
@@ -201,7 +187,7 @@ Tensor RunConvInt8(const ConvCase& c, const QuantizedTensor& qw,
   return out;
 }
 
-TEST(KernelEquivalence, Conv2dInt8WithinOneUlpAcrossModes) {
+TEST(KernelEquivalence, Conv2dInt8BitIdenticalAcrossModes) {
   Rng rng(41);
   for (int threads : {1, 4}) {
     ScopedThreads pool(threads);
@@ -217,15 +203,12 @@ TEST(KernelEquivalence, Conv2dInt8WithinOneUlpAcrossModes) {
                      << " density=" << density);
         Tensor x = MakeSpikes({c.n, c.c_in, c.h, c.w}, density, rng);
         Tensor naive = RunConvInt8(c, qw, b, x, KernelMode::kNaive);
-        ExpectWithinOneUlp(RunConvInt8(c, qw, b, x, KernelMode::kGemm),
-                           naive, "int8 conv2d gemm");
-        ExpectWithinOneUlp(RunConvInt8(c, qw, b, x, KernelMode::kSparse),
+        ExpectBitIdentical(RunConvInt8(c, qw, b, x, KernelMode::kSparse),
                            naive, "int8 conv2d sparse");
-        ExpectWithinOneUlp(RunConvInt8(c, qw, b, x, KernelMode::kAuto),
+        ExpectBitIdentical(RunConvInt8(c, qw, b, x, KernelMode::kAuto),
                            naive, "int8 conv2d auto");
-        // int8 simd is bit-exact at every tier (the stronger contract in
-        // kernels/simd_kernels.hpp), including the vnni->avx2 mask and the
-        // forced-ISA-off scalar degrade.
+        // int8 simd is bit-exact at every tier, including the vnni->avx2
+        // mask and the forced-ISA-off scalar degrade.
         for (kernels::SimdTier cap :
              {kernels::SimdTier::kVnni, kernels::SimdTier::kAvx2,
               kernels::SimdTier::kScalar}) {
@@ -247,9 +230,9 @@ struct DenseCase {
 const DenseCase kDenseCases[] = {
     {1, 1, 1},    // degenerate single MAC
     {4, 7, 5},    // odd sizes below one register tile
-    {9, 16, 3},   // ragged sample block (9 % kNr != 0)
-    {5, 33, 9},   // ragged feature tile (9 % kMr != 0)
-    {8, 64, 16},  // exact tiles
+    {9, 16, 3},   // ragged sample block (9 % 8 != 0)
+    {5, 33, 9},   // ragged feature tile (9 % 4 != 0)
+    {8, 64, 16},  // exact blocks
 };
 
 Tensor RunDense(const DenseCase& c, const Tensor& w, const Tensor& b,
@@ -275,15 +258,13 @@ TEST(KernelEquivalence, DenseFp32BitIdenticalAcrossModes) {
                      << " density=" << density);
         Tensor x = MakeSpikes({c.n, c.f_in}, density, rng);
         Tensor naive = RunDense(c, w, b, x, KernelMode::kNaive);
-        ExpectBitIdentical(RunDense(c, w, b, x, KernelMode::kGemm), naive,
-                           "dense gemm");
         ExpectBitIdentical(RunDense(c, w, b, x, KernelMode::kSparse), naive,
                            "dense sparse");
         ExpectBitIdentical(RunDense(c, w, b, x, KernelMode::kAuto), naive,
                            "dense auto");
         if (SimdTierAvailable())
-          ExpectWithinAccumTolerance(RunDense(c, w, b, x, KernelMode::kSimd),
-                                     naive, "dense simd");
+          ExpectBitIdentical(RunDense(c, w, b, x, KernelMode::kSimd), naive,
+                             "dense simd");
         {
           kernels::ScopedSimdTier scalar(kernels::SimdTier::kScalar);
           ExpectBitIdentical(RunDense(c, w, b, x, KernelMode::kSimd), naive,
@@ -306,7 +287,7 @@ Tensor RunDenseInt8(const DenseCase& c, const QuantizedTensor& qw,
   return out;
 }
 
-TEST(KernelEquivalence, DenseInt8WithinOneUlpAcrossModes) {
+TEST(KernelEquivalence, DenseInt8BitIdenticalAcrossModes) {
   Rng rng(43);
   for (int threads : {1, 4}) {
     ScopedThreads pool(threads);
@@ -321,11 +302,9 @@ TEST(KernelEquivalence, DenseInt8WithinOneUlpAcrossModes) {
                      << " density=" << density);
         Tensor x = MakeSpikes({c.n, c.f_in}, density, rng);
         Tensor naive = RunDenseInt8(c, qw, b, x, KernelMode::kNaive);
-        ExpectWithinOneUlp(RunDenseInt8(c, qw, b, x, KernelMode::kGemm),
-                           naive, "int8 dense gemm");
-        ExpectWithinOneUlp(RunDenseInt8(c, qw, b, x, KernelMode::kSparse),
+        ExpectBitIdentical(RunDenseInt8(c, qw, b, x, KernelMode::kSparse),
                            naive, "int8 dense sparse");
-        ExpectWithinOneUlp(RunDenseInt8(c, qw, b, x, KernelMode::kAuto),
+        ExpectBitIdentical(RunDenseInt8(c, qw, b, x, KernelMode::kAuto),
                            naive, "int8 dense auto");
         for (kernels::SimdTier cap :
              {kernels::SimdTier::kVnni, kernels::SimdTier::kAvx2,
@@ -339,15 +318,166 @@ TEST(KernelEquivalence, DenseInt8WithinOneUlpAcrossModes) {
   }
 }
 
+// --- special values ----------------------------------------------------------
+
+/// Seeds a spike tensor with the values the exact paths must carry exactly
+/// like naive: +inf (what flipping bit 30 of a 1.0f spike makes), NaN, and
+/// −0 in place of some zeros.
+Tensor WithSpecialValues(Tensor x, Rng& rng) {
+  for (long i = 0; i < x.numel(); ++i) {
+    const long r = static_cast<long>(rng.UniformInt(40));
+    if (r == 0)
+      x[i] = std::numeric_limits<float>::infinity();
+    else if (r == 1)
+      x[i] = std::numeric_limits<float>::quiet_NaN();
+    else if (r < 10 && x[i] == 0.0f)
+      x[i] = -0.0f;
+  }
+  return x;
+}
+
+/// Three bias/weight variants per layer: plain finite values; a −0 bias on
+/// a row pruned to −0 weights (naive yields −0 there for +0 inputs) and on
+/// a live row (naive adds w * ±0 terms to it); and one +inf weight. The
+/// last two break ZeroTermsAreNoOps, so the dispatcher must fall back to
+/// naive for them.
+struct SpecialParams {
+  Tensor w;
+  Tensor b;
+  const char* what;
+};
+
+std::vector<SpecialParams> MakeSpecialParams(const Shape& w_shape, long rows,
+                                             Rng& rng) {
+  Tensor w = MakePrunedWeights(w_shape, rng);
+  const long row = w.numel() / rows;
+  for (long i = 0; i < row; ++i) w[i] = -0.0f;  // row 0 fully pruned
+  Tensor b = Tensor::Normal({rows}, 0.0f, 0.1f, rng);
+  b[rows - 1] = 0.0f;  // +0 bias: a zero accumulator that must stay +0
+  Tensor neg_b = b;
+  neg_b[0] = -0.0f;
+  neg_b[1] = -0.0f;
+  Tensor inf_w = w;
+  inf_w[row + 1] = std::numeric_limits<float>::infinity();
+  return {{w, b, "finite"}, {w, neg_b, "-0 bias"}, {inf_w, b, "inf weight"}};
+}
+
+/// Tallies the special outputs a naive result holds, so the special-value
+/// tests can show they compared more than ordinary numbers.
+struct SpecialSeen {
+  long nan = 0, inf = 0, neg_zero = 0;
+  void Add(const Tensor& t) {
+    for (float v : t.flat()) {
+      nan += std::isnan(v) ? 1 : 0;
+      inf += std::isinf(v) ? 1 : 0;
+      neg_zero += (v == 0.0f && std::signbit(v)) ? 1 : 0;
+    }
+  }
+  void ExpectAll() const {
+    EXPECT_GT(nan, 0);
+    EXPECT_GT(inf, 0);
+    EXPECT_GT(neg_zero, 0);
+  }
+};
+
+/// Every mode auto can select — sparse, simd, naive — and auto itself must
+/// match naive bit for bit on special values, in both densities auto
+/// splits on and at both pool sizes. A 7x7 plane (o_plane 49: one 32-pixel
+/// block, then a masked tail whose last tile has one live pixel) and a
+/// pad-2 border exercise the tile tails and the padded taps.
+TEST(KernelEquivalence, Conv2dFp32SpecialValuesBitIdentical) {
+  Rng rng(46);
+  const ConvCase cases[] = {{3, 3, 5, 7, 7, 3, 1}, {2, 2, 3, 6, 5, 3, 2}};
+  SpecialSeen seen;
+  for (int threads : {1, 4}) {
+    ScopedThreads pool(threads);
+    for (const ConvCase& c : cases) {
+      for (const SpecialParams& p :
+           MakeSpecialParams({c.c_out, c.c_in, c.k, c.k}, c.c_out, rng)) {
+        for (float density : {0.05f, 0.6f}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "threads=" << threads << " h=" << c.h
+                       << " w=" << c.w << " pad=" << c.pad << " params="
+                       << p.what << " density=" << density);
+          Tensor x = WithSpecialValues(
+              MakeSpikes({c.n, c.c_in, c.h, c.w}, density, rng), rng);
+          Tensor naive = RunConv(c, p.w, p.b, x, KernelMode::kNaive);
+          seen.Add(naive);
+          for (KernelMode mode :
+               {KernelMode::kSparse, KernelMode::kSimd, KernelMode::kAuto})
+            ExpectBitIdentical(RunConv(c, p.w, p.b, x, mode), naive,
+                               kernels::KernelModeName(mode));
+        }
+      }
+    }
+  }
+  seen.ExpectAll();
+}
+
+/// Dense sibling: an 11-sample batch leaves a 3-sample simd block tail,
+/// and 10 outputs leave a 2-feature tail after one 8-wide block. Naive
+/// dense skips nothing, so 0 * inf is NaN there and must be NaN in every
+/// mode. Sample 0 is silent (all +0): with a −0 bias naive turns it +0
+/// where skipping its zero terms would leave −0.
+TEST(KernelEquivalence, DenseFp32SpecialValuesBitIdentical) {
+  Rng rng(47);
+  const DenseCase c{11, 37, 10};
+  SpecialSeen seen;
+  for (int threads : {1, 4}) {
+    ScopedThreads pool(threads);
+    for (const SpecialParams& p :
+         MakeSpecialParams({c.f_out, c.f_in}, c.f_out, rng)) {
+      for (float density : {0.05f, 0.6f}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "threads=" << threads << " params=" << p.what
+                     << " density=" << density);
+        Tensor x =
+            WithSpecialValues(MakeSpikes({c.n, c.f_in}, density, rng), rng);
+        for (long i = 0; i < c.f_in; ++i) x[i] = 0.0f;
+        Tensor naive = RunDense(c, p.w, p.b, x, KernelMode::kNaive);
+        seen.Add(naive);
+        for (KernelMode mode :
+             {KernelMode::kSparse, KernelMode::kSimd, KernelMode::kAuto})
+          ExpectBitIdentical(RunDense(c, p.w, p.b, x, mode), naive,
+                             kernels::KernelModeName(mode));
+      }
+    }
+  }
+  seen.ExpectAll();
+}
+
 // --- dispatch unit tests -----------------------------------------------------
 
 TEST(KernelDispatch, ModeNamesRoundTrip) {
   for (KernelMode m : {KernelMode::kAuto, KernelMode::kNaive,
-                       KernelMode::kGemm, KernelMode::kSparse,
-                       KernelMode::kSimd})
+                       KernelMode::kSparse, KernelMode::kSimd})
     EXPECT_EQ(kernels::ParseKernelMode(kernels::KernelModeName(m)), m);
   EXPECT_FALSE(kernels::ParseKernelMode("fast").has_value());
+  EXPECT_FALSE(kernels::ParseKernelMode("gemm").has_value());  // removed
   EXPECT_FALSE(kernels::ParseKernelMode("").has_value());
+}
+
+TEST(KernelDispatch, EnvModeRejectsUnknownValues) {
+  const char* saved = std::getenv("AXSNN_KERNEL_MODE");
+  const std::string saved_value = saved ? saved : "";
+
+  for (const char* bad : {"gemm", "fast", "SIMD", ""}) {
+    ::setenv("AXSNN_KERNEL_MODE", bad, 1);
+    try {
+      kernels::KernelModeFromEnv();
+      ADD_FAILURE() << "AXSNN_KERNEL_MODE=\"" << bad << "\" was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("\"") + bad + "\""),
+                std::string::npos)
+          << "error does not name the value: " << e.what();
+    }
+  }
+  ::setenv("AXSNN_KERNEL_MODE", "sparse", 1);
+  EXPECT_EQ(kernels::KernelModeFromEnv(), KernelMode::kSparse);
+  ::unsetenv("AXSNN_KERNEL_MODE");
+  EXPECT_EQ(kernels::KernelModeFromEnv(), KernelMode::kAuto);
+
+  if (saved) ::setenv("AXSNN_KERNEL_MODE", saved_value.c_str(), 1);
 }
 
 TEST(KernelDispatch, DensityCountsNonzerosExactly) {
@@ -361,30 +491,31 @@ TEST(KernelDispatch, DensityCountsNonzerosExactly) {
 TEST(KernelDispatch, ChooseByDensityProbesOnlyAuto) {
   using kernels::ChooseByDensity;
   const float max = kernels::kConvSparseDensityMax;
-  EXPECT_EQ(ChooseByDensity(KernelMode::kAuto, max, max, KernelMode::kGemm),
+  EXPECT_EQ(ChooseByDensity(KernelMode::kAuto, max, max),
             KernelMode::kSparse);  // at the threshold: sparse
-  EXPECT_EQ(ChooseByDensity(KernelMode::kAuto, max + 0.01f, max,
-                            KernelMode::kGemm),
-            KernelMode::kGemm);  // above: the family's dense fallback
-  EXPECT_EQ(ChooseByDensity(KernelMode::kAuto, max + 0.01f, max,
-                            KernelMode::kNaive),
-            KernelMode::kNaive);
-  EXPECT_EQ(ChooseByDensity(KernelMode::kAuto, 0.0f, max, KernelMode::kGemm),
+  EXPECT_EQ(ChooseByDensity(KernelMode::kAuto, 0.0f, max),
             KernelMode::kSparse);
+  // Above it: the dense fallback, simd exactly when the ISA tier is active.
+  EXPECT_EQ(ChooseByDensity(KernelMode::kAuto, max + 0.01f, max),
+            SimdTierAvailable() ? KernelMode::kSimd : KernelMode::kNaive);
+  {
+    kernels::ScopedSimdTier scalar(kernels::SimdTier::kScalar);
+    EXPECT_EQ(ChooseByDensity(KernelMode::kAuto, max + 0.01f, max),
+              KernelMode::kNaive);
+  }
   // Pinned modes pass through regardless of density.
-  EXPECT_EQ(ChooseByDensity(KernelMode::kNaive, 0.0f, max, KernelMode::kGemm),
+  EXPECT_EQ(ChooseByDensity(KernelMode::kNaive, 0.0f, max),
             KernelMode::kNaive);
-  EXPECT_EQ(ChooseByDensity(KernelMode::kGemm, 0.0f, max, KernelMode::kGemm),
-            KernelMode::kGemm);
+  EXPECT_EQ(ChooseByDensity(KernelMode::kSimd, 0.0f, max), KernelMode::kSimd);
 }
 
 TEST(KernelDispatch, GlobalModeOverridesRequested) {
   {
-    ScopedKernelMode force(KernelMode::kGemm);
+    ScopedKernelMode force(KernelMode::kSimd);
     EXPECT_EQ(kernels::ResolveKernelMode(KernelMode::kSparse),
-              KernelMode::kGemm);
+              KernelMode::kSimd);
     EXPECT_EQ(kernels::ResolveKernelMode(KernelMode::kAuto),
-              KernelMode::kGemm);
+              KernelMode::kSimd);
   }
   ScopedKernelMode neutral(KernelMode::kAuto);
   EXPECT_EQ(kernels::ResolveKernelMode(KernelMode::kSparse),
@@ -409,8 +540,8 @@ TEST(KernelDispatch, ApproxConfigKnobReachesLayers) {
   approx::CalibrationStats stats = approx::Calibrate(net, input);
 
   std::vector<Tensor> outs;
-  for (KernelMode mode : {KernelMode::kNaive, KernelMode::kGemm,
-                          KernelMode::kSparse, KernelMode::kAuto}) {
+  for (KernelMode mode : {KernelMode::kNaive, KernelMode::kSparse,
+                          KernelMode::kSimd, KernelMode::kAuto}) {
     approx::ApproxConfig cfg;
     cfg.precision = approx::Precision::kInt8;
     cfg.level = 0.01;
@@ -420,7 +551,7 @@ TEST(KernelDispatch, ApproxConfigKnobReachesLayers) {
     outs.push_back(ax.Forward(input, false));
   }
   for (std::size_t i = 1; i < outs.size(); ++i)
-    ExpectWithinOneUlp(outs[i], outs[0], "ApproxConfig kernel_mode logits");
+    ExpectBitIdentical(outs[i], outs[0], "ApproxConfig kernel_mode logits");
 }
 
 TEST(KernelDispatch, LayerKnobDefaultsToAutoAndSticks) {
@@ -465,8 +596,8 @@ TEST(GoldenDeterminism, SweepReportByteIdenticalAcrossModesAndPools) {
   };
 
   std::string golden;
-  for (KernelMode mode : {KernelMode::kNaive, KernelMode::kGemm,
-                          KernelMode::kSparse, KernelMode::kAuto}) {
+  for (KernelMode mode : {KernelMode::kNaive, KernelMode::kSparse,
+                          KernelMode::kSimd, KernelMode::kAuto}) {
     for (int threads : {1, 4}) {
       ScopedThreads pool(threads);
       ScopedKernelMode force(mode);
