@@ -1,6 +1,7 @@
 #include "kernels/conv2d_kernels.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 
@@ -107,7 +108,9 @@ void Conv2dNaive(const float* xd, const float* wd, const float* bd, float* od,
 /// Most im2col matrices one fp32 simd call keeps: each chunk rebuilds its
 /// matrix per sample, so capping the chunk count bounds the scratch (a
 /// default-grained loop would hold up to runtime::kMaxChunks of them per
-/// layer — measurably more peak RSS for no speed on a few cores).
+/// layer — measurably more peak RSS for no speed on 4 cores). The cap also
+/// caps parallelism: this loop never uses more than 4 pool workers, a cost
+/// not measured on machines with more than 4 cores.
 constexpr long kMaxConvPacks = 4;
 
 /// Writes one sample's im2col matrix: col[k][o] with k walking (ci, ky, kx)
@@ -180,11 +183,9 @@ long GatherNonzerosWords(const T* xs, const std::uint64_t* words,
 /// Scatters one sample's nonzeros through one output channel's weight
 /// block into `op` (already bias-initialized, o_plane floats). The (ky, kx)
 /// bounds clamp the scatter to in-range output pixels, so no out-of-range
-/// pointer is ever formed. kSkipPruned skips zero weights as naive does;
-/// the caller sets it for samples holding inf/NaN, where 0 * inf would be
-/// NaN. For finite values a pruned term is a ±0 no-op (ZeroTermsAreNoOps),
-/// so the common case keeps the branch-free loop.
-template <bool kSkipPruned>
+/// pointer is ever formed. Pruned (zero) weights are not skipped: for a
+/// finite value their term is a ±0 no-op (ZeroTermsAreNoOps), and the
+/// dispatcher runs naive for inputs holding inf/NaN, where 0 * inf is NaN.
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((noinline))
 #endif
@@ -209,8 +210,7 @@ void ScatterChannelF32(const float* __restrict wf,
         const float* wrow = wp + ky * d.kernel;
         const long obase = ix + d.pad;
         for (long kx = kx_lo; kx <= kx_hi; ++kx)
-          if (!kSkipPruned || wrow[kx] != 0.0f)
-            orow[obase - kx] += wrow[kx] * v;
+          orow[obase - kx] += wrow[kx] * v;
       }
     }
   }
@@ -405,6 +405,7 @@ void Conv2dForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
   std::int32_t* rows_d = rows.data();
   std::int32_t* cols_d = cols.data();
   float* vals_d = vals.data();
+  std::atomic<bool> nonfinite{false};
   runtime::ParallelForChunks(
       0, d.n,
       [&](long chunk, long lo, long hi) {
@@ -416,22 +417,28 @@ void Conv2dForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
           const long m =
               GatherNonzerosWords(xd + s * d.x_sample, words_d + s * wps, d,
                                   c_offs, c_rows, c_cols, c_vals);
-          const auto scatter =
-              std::all_of(c_vals, c_vals + m,
-                          [](float v) { return std::isfinite(v); })
-                  ? &ScatterChannelF32<false>
-                  : &ScatterChannelF32<true>;
+          if (!std::all_of(c_vals, c_vals + m,
+                           [](float v) { return std::isfinite(v); })) {
+            nonfinite = true;
+            return;
+          }
           float* os = od + s * d.o_sample;
           for (long co = 0; co < d.c_out; ++co) {
             float* op = os + co * d.o_plane;
             const float b = bd[co];
             for (long i = 0; i < d.o_plane; ++i) op[i] = b;
-            scatter(wd + co * d.w_per_out, c_offs, c_rows, c_cols, c_vals, op,
-                    d);
+            ScatterChannelF32(wd + co * d.w_per_out, c_offs, c_rows, c_cols,
+                              c_vals, op, d);
           }
         }
       },
       grain);
+  // The scatter multiplies pruned weights too, so an inf/NaN activation
+  // (an activation bit flip makes one) would turn a term naive skips into
+  // NaN. Every non-finite value is nonzero, hence gathered: when any chunk
+  // saw one, the whole call is recomputed by naive.
+  if (nonfinite)
+    Conv2dNaive(xd, wd, bd, od, d);
 }
 
 // --- int8 dispatcher ---------------------------------------------------------

@@ -4,13 +4,15 @@
 //
 // Equivalence contract: for every mode the per-output-element accumulation
 // runs bias-first, then the (ci, ky, kx) contributions in the naive loop
-// order with pruned (zero) weights skipped — the simd tiles walk the
+// order (naive and simd skip pruned weights) — the simd tiles walk the
 // im2col k axis in exactly that order, and the sparse scatter visits
 // nonzeros in (ci, iy, ix) scan order, which for any fixed output element
 // is the same (ci, ky, kx) order. fp32 results are therefore bit-identical
-// across modes: the terms simd adds for padding and the terms sparse skips
-// for zero activations are exact ±0 no-ops whenever ZeroTermsAreNoOps
-// holds, and the dispatcher runs naive when it does not. int8 results are
+// across modes: the terms simd adds for padding, the terms sparse skips
+// for zero activations and the pruned-weight terms the sparse scatter
+// keeps for finite activations are exact ±0 no-ops whenever
+// ZeroTermsAreNoOps holds; the dispatcher runs naive when it does not, or
+// when a sparse call meets an inf/NaN activation. int8 results are
 // identical outright (int32 accumulation is exact). The differential suite
 // in tests/test_kernels.cpp pins this bit for bit.
 #pragma once

@@ -231,7 +231,7 @@ const DenseCase kDenseCases[] = {
     {1, 1, 1},    // degenerate single MAC
     {4, 7, 5},    // odd sizes below one register tile
     {9, 16, 3},   // ragged sample block (9 % 8 != 0)
-    {5, 33, 9},   // ragged feature tile (9 % 4 != 0)
+    {5, 33, 9},   // 9 % 8 != 0: one 8-feature block plus a 1-feature tail
     {8, 64, 16},  // exact blocks
 };
 
