@@ -16,6 +16,10 @@
 //  4b. SIMD tier sweep — the same forced-simd workloads at every ISA tier
 //      the machine supports (capped via ScopedSimdTier), recorded per tier
 //      so BENCH_runtime.json baselines are comparable across runners;
+//  4c. conv backward — Conv2d::Backward with the naive reference loops vs
+//      the simd path, at the static conv2/conv3 (T*B = 256) and DVS
+//      conv1/conv2 (T*B = 384) shapes and input densities of the repository
+//      benchmark, on 1 thread and on every hardware thread;
 //  5. scenario grids — wall-clock of a miniature fig2-style ScenarioGrid
 //     with and without the engine's trained-model cache (the cache is what
 //     makes grids sharing structural cells cheap);
@@ -321,6 +325,75 @@ std::vector<SimdTierPoint> RunSimdTierSweep(int repeats) {
     p.dense_int8_ms = MsPerForward(fc, dx, repeats);
     points.push_back(p);
   }
+  return points;
+}
+
+/// One conv-backward shape at one pool size: reference vs simd backward.
+struct ConvBackwardPoint {
+  const char* layer;
+  long n, c_in, c_out, hw;
+  float density;
+  int threads;
+  double naive_ms;
+  double simd_ms;  // forced kSimd (degrades to naive on scalar machines)
+};
+
+/// Median ms of Conv2d::Backward on `conv`'s cached forward input.
+double MsPerBackward(snn::Conv2d& conv, const Tensor& grad, int repeats) {
+  conv.Backward(grad);  // warm up: sizes the backward scratch
+  std::vector<double> ms;
+  for (int r = 0; r < repeats; ++r) {
+    const auto start = Clock::now();
+    conv.Backward(grad);
+    ms.push_back(SecondsSince(start) * 1e3);
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
+/// Conv2d::Backward on the repository benchmark's conv shapes (3x3, pad 1):
+/// static_grid T=8 x B=32 on 16x16 images, dvs_grid T=24 x B=16 on 32x32
+/// streams, inputs at the traced spike densities. One pass at the DVS
+/// shapes costs up to a third of a second on the naive loops, so this
+/// section takes a tenth of the requested repeats (at least 3).
+std::vector<ConvBackwardPoint> RunConvBackward(int repeats) {
+  struct Shape4 {
+    const char* layer;
+    long n, c_in, c_out, hw;
+    float density;
+  };
+  const Shape4 shapes[] = {{"static.conv2", 256, 8, 16, 8, 0.34f},
+                           {"static.conv3", 256, 16, 16, 4, 0.52f},
+                           {"dvs.conv1", 384, 2, 12, 32, 0.03f},
+                           {"dvs.conv2", 384, 12, 24, 16, 0.066f}};
+  std::vector<int> pools = {1};
+  const int hw = runtime::DefaultThreadCount();
+  if (hw > 1) pools.push_back(hw);
+  const int reps = std::max(3, repeats / 10);
+  std::vector<ConvBackwardPoint> points;
+  for (const Shape4& s : shapes) {
+    Rng rng(11);
+    snn::Conv2d conv("c", s.c_in, s.c_out, 3, 1, rng);
+    Tensor x = bench::MakeSpikes({s.n, s.c_in, s.hw, s.hw}, s.density, rng);
+    Tensor grad = Tensor::Normal({s.n, s.c_out, s.hw, s.hw}, 0.0f, 1e-3f, rng);
+    Tensor out;
+    conv.ForwardInto(x, out, /*train=*/true);
+    for (int threads : pools) {
+      runtime::SetGlobalThreads(threads);
+      ConvBackwardPoint p{s.layer, s.n, s.c_in, s.c_out, s.hw, s.density,
+                          threads, 0.0, 0.0};
+      {
+        kernels::ScopedKernelMode force(kernels::KernelMode::kNaive);
+        p.naive_ms = MsPerBackward(conv, grad, reps);
+      }
+      {
+        kernels::ScopedKernelMode force(kernels::KernelMode::kSimd);
+        p.simd_ms = MsPerBackward(conv, grad, reps);
+      }
+      points.push_back(p);
+    }
+  }
+  runtime::SetGlobalThreads(0);
   return points;
 }
 
@@ -634,6 +707,18 @@ int main(int argc, char** argv) {
                 p.tier, p.conv_fp32_ms, p.conv_int8_ms, p.dense_fp32_ms,
                 p.dense_int8_ms);
 
+  const auto conv_backward = axsnn::RunConvBackward(repeats);
+  std::printf("\nconv backward (Conv2d::Backward, 3x3 pad 1, ms/call, "
+              "simd tier %s, %d hardware threads):\n",
+              simd_tier, axsnn::runtime::DefaultThreadCount());
+  std::printf("  layer          N  C_in C_out  HxW  density threads   "
+              "naive      simd   speedup\n");
+  for (const auto& p : conv_backward)
+    std::printf("  %-12s %4ld %4ld %5ld %3ldx%-3ld %6.3f %5d %9.3f %9.3f "
+                "%7.2fx\n",
+                p.layer, p.n, p.c_in, p.c_out, p.hw, p.hw, p.density,
+                p.threads, p.naive_ms, p.simd_ms, p.naive_ms / p.simd_ms);
+
   const auto scenario_grid = axsnn::RunScenarioComparison();
   std::printf("\nscenario grid (%ld cells, %ld work units sharing one "
               "structural cell):\n",
@@ -733,6 +818,23 @@ int main(int argc, char** argv) {
                    tiers[i].dense_fp32_ms, tiers[i].dense_int8_ms,
                    i + 1 < tiers.size() ? "," : "");
     std::fprintf(f, "  ],\n");
+    std::fprintf(f, "  \"conv_backward\": {\n");
+    std::fprintf(f, "    \"hardware_threads\": %d,\n",
+                 axsnn::runtime::DefaultThreadCount());
+    std::fprintf(f, "    \"simd_tier\": \"%s\",\n", simd_tier);
+    std::fprintf(f, "    \"points\": [\n");
+    for (std::size_t i = 0; i < conv_backward.size(); ++i) {
+      const auto& p = conv_backward[i];
+      std::fprintf(f,
+                   "      {\"layer\": \"%s\", \"n\": %ld, \"c_in\": %ld, "
+                   "\"c_out\": %ld, \"hw\": %ld, \"density\": %.3f, "
+                   "\"threads\": %d, \"naive_ms\": %.4f, \"simd_ms\": %.4f, "
+                   "\"speedup\": %.3f}%s\n",
+                   p.layer, p.n, p.c_in, p.c_out, p.hw, p.density, p.threads,
+                   p.naive_ms, p.simd_ms, p.naive_ms / p.simd_ms,
+                   i + 1 < conv_backward.size() ? "," : "");
+    }
+    std::fprintf(f, "    ]\n  },\n");
     std::fprintf(f, "  \"scenario_grid\": {\n");
     std::fprintf(f, "    \"cells\": %ld,\n", scenario_grid.cells);
     std::fprintf(f, "    \"work_units\": %ld,\n", scenario_grid.units);

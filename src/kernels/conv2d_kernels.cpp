@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "kernels/cpu_features.hpp"
 #include "kernels/simd_kernels.hpp"
@@ -318,6 +319,318 @@ void Conv2dPlanes(long idx_lo, long idx_hi,
   }
 }
 
+// --- fp32 backward -----------------------------------------------------------
+
+/// Bias gradient, shared by both backward paths: one double sum per output
+/// channel over samples, then pixels, in ascending order. Returns whether
+/// every grad_out value is finite — a double sum of floats cannot
+/// overflow, so it is finite exactly when all of its terms are.
+bool BiasGradF32(const float* gd, float* gbd, const Dims& d) {
+  std::atomic<bool> finite{true};
+  runtime::ParallelFor(0, d.c_out, [&](long co) {
+    double gb = 0.0;
+    for (long s = 0; s < d.n; ++s) {
+      const float* gp = gd + s * d.o_sample + co * d.o_plane;
+      for (long i = 0; i < d.o_plane; ++i) gb += gp[i];
+    }
+    if (!std::isfinite(gb)) finite = false;
+    gbd[co] += static_cast<float>(gb);
+  });
+  return finite;
+}
+
+/// True when every one of x's n values is finite (chunked over the pool).
+bool AllFinite(const float* x, long n) {
+  std::atomic<bool> finite{true};
+  runtime::ParallelForChunks(0, n, [&](long, long lo, long hi) {
+    bool ok = true;
+    for (long i = lo; i < hi; ++i)
+      ok &= std::fabs(x[i]) <= std::numeric_limits<float>::max();
+    if (!ok) finite = false;
+  });
+  return finite;
+}
+
+/// Reference weight gradient (the seed repo's loop, retained verbatim apart
+/// from the bias sum): parallel over output channels so each iteration
+/// owns a disjoint slice of dweight (no atomics needed). The inner loop
+/// over ox is a contiguous dot product between a gradient row and a
+/// shifted input row.
+void WeightGradNaive(const float* xd, const float* gd, float* gwd,
+                     const Dims& d) {
+  runtime::ParallelFor(0, d.c_out, [&](long co) {
+    float* gw = gwd + co * d.w_per_out;
+    for (long s = 0; s < d.n; ++s) {
+      const float* xs = xd + s * d.x_sample;
+      const float* gp = gd + s * d.o_sample + co * d.o_plane;
+      for (long ci = 0; ci < d.c_in; ++ci) {
+        const float* xp = xs + ci * d.x_plane;
+        float* gwp = gw + ci * d.kernel * d.kernel;
+        for (long ky = 0; ky < d.kernel; ++ky) {
+          for (long kx = 0; kx < d.kernel; ++kx) {
+            const long ox_lo = std::max(0L, d.pad - kx);
+            const long ox_hi = std::min(d.w_out, d.w + d.pad - kx);
+            float acc = 0.0f;
+            for (long oy = 0; oy < d.h_out; ++oy) {
+              const long iy = oy + ky - d.pad;
+              if (iy < 0 || iy >= d.h) continue;
+              const float* xrow = xp + iy * d.w + (kx - d.pad);
+              const float* grow = gp + oy * d.w_out;
+              for (long ox = ox_lo; ox < ox_hi; ++ox)
+                acc += grow[ox] * xrow[ox];
+            }
+            gwp[ky * d.kernel + kx] += acc;
+          }
+        }
+      }
+    }
+  });
+}
+
+/// Reference input gradient (the seed repo's loop, retained verbatim):
+/// parallel over samples (disjoint grad_in slices); contiguous saxpy over
+/// ox per (co, ci, ky, kx, oy). `gid` must hold zeros.
+void InputGradNaive(const float* wd, const float* gd, float* gid,
+                    const Dims& d) {
+  runtime::ParallelFor(0, d.n, [&](long s) {
+    const float* gs = gd + s * d.o_sample;
+    float* gi = gid + s * d.x_sample;
+    for (long co = 0; co < d.c_out; ++co) {
+      const float* wf = wd + co * d.w_per_out;
+      const float* gp = gs + co * d.o_plane;
+      for (long ci = 0; ci < d.c_in; ++ci) {
+        float* gip = gi + ci * d.x_plane;
+        const float* wp = wf + ci * d.kernel * d.kernel;
+        for (long ky = 0; ky < d.kernel; ++ky) {
+          for (long kx = 0; kx < d.kernel; ++kx) {
+            const float wv = wp[ky * d.kernel + kx];
+            if (wv == 0.0f) continue;
+            const long ox_lo = std::max(0L, d.pad - kx);
+            const long ox_hi = std::min(d.w_out, d.w + d.pad - kx);
+            for (long oy = 0; oy < d.h_out; ++oy) {
+              const long iy = oy + ky - d.pad;
+              if (iy < 0 || iy >= d.h) continue;
+              float* grow_in = gip + iy * d.w + (kx - d.pad);
+              const float* grow = gp + oy * d.w_out;
+              for (long ox = ox_lo; ox < ox_hi; ++ox)
+                grow_in[ox] += wv * grow[ox];
+            }
+          }
+        }
+      }
+    }
+  });
+}
+
+/// Copies one short row; a plain loop beats a library call per row at the
+/// 4-64 float rows the backward packs copy.
+inline void CopyRow(const float* src, long n, float* dst) {
+  for (long i = 0; i < n; ++i) dst[i] = src[i];
+}
+
+/// Writes the output-gradient pack of grad_in rows [iy_lo, iy_hi) for the
+/// input-gradient tile: row (co, ky, kx) in the naive loop order, column
+/// (iy - iy_lo) * w + ix holding g[co][iy + pad - ky][ix + pad - kx], or +0
+/// outside the output plane. `frame` holds each channel's gradient plane
+/// inside a +0 border ((h + K - 1) x (w + K - 1) per channel), so every
+/// pack row is a window of it: one contiguous copy per (row, iy).
+void PackGradRows(const float* frame, float* pack, const Dims& d, long iy_lo,
+                  long iy_hi) {
+  const long fh = d.h + d.kernel - 1;
+  const long fw = d.w + d.kernel - 1;
+  const long band = (iy_hi - iy_lo) * d.w;
+  float* prow = pack;
+  for (long co = 0; co < d.c_out; ++co) {
+    for (long ky = 0; ky < d.kernel; ++ky) {
+      for (long kx = 0; kx < d.kernel; ++kx, prow += band) {
+        const float* src =
+            frame + (co * fh + d.kernel - 1 - ky) * fw + d.kernel - 1 - kx;
+        for (long iy = iy_lo; iy < iy_hi; ++iy)
+          CopyRow(src + iy * fw, d.w, prow + (iy - iy_lo) * d.w);
+      }
+    }
+  }
+}
+
+/// grad_in rows one input-gradient tile call covers: bands of about this
+/// many pixels (two 32-pixel tile blocks) keep the pack, C_out * K * K rows
+/// of one band, cache-sized and independent of the plane size — it is held
+/// per chunk by every layer that ran a backward.
+constexpr long kGradBandPixels = 64;
+
+/// Input gradient of samples [lo, hi) through simd::ConvGemmF32: per
+/// sample and band of grad_in rows, W^T [ci][(co, ky, kx)] (`wt`) times the
+/// PackGradRows pack, each lane one grad_in element summing (co, ky, kx) in
+/// the naive order from +0, pruned weights skipped. `buf` holds the chunk's
+/// grad_out frame, pack and output band (InputChunkLen floats).
+void InputGradChunk(const float* wt, const float* zeros, const float* gd,
+                    float* gid, float* buf, long lo, long hi, const Dims& d) {
+  const long kk = d.c_out * d.kernel * d.kernel;
+  const long fh = d.h + d.kernel - 1;
+  const long fw = d.w + d.kernel - 1;
+  const long edge = d.kernel - 1 - d.pad;  // frame border above / left of g
+  const long band_rows = std::clamp(kGradBandPixels / d.w, 1L, d.h);
+  float* frame = buf;
+  float* pack = frame + d.c_out * fh * fw;
+  float* out = pack + kk * band_rows * d.w;
+  std::fill(frame, pack, 0.0f);
+  for (long s = lo; s < hi; ++s) {
+    const float* gs = gd + s * d.o_sample;
+    for (long co = 0; co < d.c_out; ++co)
+      for (long oy = 0; oy < d.h_out; ++oy)
+        CopyRow(gs + co * d.o_plane + oy * d.w_out, d.w_out,
+                frame + (co * fh + edge + oy) * fw + edge);
+    float* gi = gid + s * d.x_sample;
+    for (long iy = 0; iy < d.h; iy += band_rows) {
+      const long iy_hi = std::min(d.h, iy + band_rows);
+      const long pixels = (iy_hi - iy) * d.w;
+      PackGradRows(frame, pack, d, iy, iy_hi);
+      simd::ConvGemmF32(wt, zeros, pack, out, d.c_in, kk, pixels);
+      for (long ci = 0; ci < d.c_in; ++ci)
+        CopyRow(out + ci * pixels, pixels, gi + ci * d.x_plane + iy * d.w);
+    }
+  }
+}
+
+/// Floats InputGradChunk's `buf` holds.
+long InputChunkLen(const Dims& d) {
+  const long band = std::clamp(kGradBandPixels / d.w, 1L, d.h) * d.w;
+  return d.c_out * (d.h + d.kernel - 1) * (d.w + d.kernel - 1) +
+         (d.c_out * d.kernel * d.kernel + d.c_in) * band;
+}
+
+/// Writes im2col columns [k_lo, k_hi) of one sample transposed:
+/// xt[o][k - k_lo] = x[ci][oy + ky - pad][ox + kx - pad] for o = oy * w_out
+/// + ox and k = (ci, ky, kx), or +0 at padded taps. `frame` holds the
+/// planes of the block's input channels inside a +0 border of `pad`
+/// ((h + 2 pad) x (w + 2 pad) per channel, the border already zeroed);
+/// `taps_off[j]` is column k_lo + j's offset into it at o = 0.
+void PackIm2colT(const float* xs, float* frame, float* xt,
+                 const std::int32_t* taps_off, const Dims& d, long k_lo,
+                 long k_hi) {
+  const long taps = d.kernel * d.kernel;
+  const long ci_lo = k_lo / taps;
+  const long ci_hi = (k_hi - 1) / taps + 1;
+  const long fh = d.h + 2 * d.pad;
+  const long fw = d.w + 2 * d.pad;
+  for (long ci = ci_lo; ci < ci_hi; ++ci)
+    for (long iy = 0; iy < d.h; ++iy)
+      CopyRow(xs + ci * d.x_plane + iy * d.w, d.w,
+              frame + ((ci - ci_lo) * fh + d.pad + iy) * fw + d.pad);
+  const long lanes = k_hi - k_lo;
+  float* dst = xt;
+  for (long oy = 0; oy < d.h_out; ++oy) {
+    for (long ox = 0; ox < d.w_out; ++ox, dst += lanes) {
+      const float* src = frame + oy * fw + ox;
+      for (long j = 0; j < lanes; ++j) dst[j] = src[taps_off[j]];
+    }
+  }
+}
+
+/// Weight gradient of im2col columns [k_lo, k_hi) through
+/// simd::ConvGemmF32: per sample, grad_out [co][p] times the transposed
+/// im2col [p][k], each lane one dweight element's per-sample sum over p in
+/// the naive (oy, ox) order from +0, zero gradients skipped; the partials
+/// are added into dweight in ascending sample order. `buf` holds the
+/// block's input frame, transposed columns and partials (WeightBlockLen
+/// floats), `taps_off` its columns' frame offsets.
+void WeightGradBlock(const float* xd, const float* gd, const float* zeros,
+                     float* gwd, float* buf, std::int32_t* taps_off,
+                     long k_lo, long k_hi, const Dims& d) {
+  const long taps = d.kernel * d.kernel;
+  const long ci_lo = k_lo / taps;
+  const long fh = d.h + 2 * d.pad;
+  const long fw = d.w + 2 * d.pad;
+  const long frame_len = ((k_hi - 1) / taps + 1 - ci_lo) * fh * fw;
+  const long lanes = k_hi - k_lo;
+  float* frame = buf;
+  float* xt = frame + frame_len;
+  float* part = xt + d.o_plane * lanes;
+  std::fill(frame, xt, 0.0f);
+  for (long k = k_lo; k < k_hi; ++k) {
+    const long ci = k / taps - ci_lo;
+    const long ky = k % taps / d.kernel;
+    const long kx = k % d.kernel;
+    taps_off[k - k_lo] = static_cast<std::int32_t>((ci * fh + ky) * fw + kx);
+  }
+  for (long s = 0; s < d.n; ++s) {
+    PackIm2colT(xd + s * d.x_sample, frame, xt, taps_off, d, k_lo, k_hi);
+    simd::ConvGemmF32(gd + s * d.o_sample, zeros, xt, part, d.c_out,
+                      d.o_plane, lanes);
+    for (long co = 0; co < d.c_out; ++co)
+      for (long j = 0; j < lanes; ++j)
+        gwd[co * d.w_per_out + k_lo + j] += part[co * lanes + j];
+  }
+}
+
+/// Floats WeightGradBlock's `buf` holds for blocks of up to `lanes` columns.
+long WeightBlockLen(const Dims& d, long lanes) {
+  const long taps = d.kernel * d.kernel;
+  // Input channels `lanes` consecutive columns can touch.
+  const long channels = std::min(d.c_in, (lanes + 2 * taps - 2) / taps);
+  return channels * (d.h + 2 * d.pad) * (d.w + 2 * d.pad) +
+         (d.o_plane + d.c_out) * lanes;
+}
+
+/// simd backward (header contract). The input gradient is split over at
+/// most kMaxConvPacks sample chunks; the weight gradient over at most
+/// kMaxConvPacks blocks of im2col columns, each owning those dweight
+/// columns and walking the samples in ascending order, so the split changes
+/// no add. Blocks are whole 32-lane tile groups: the tile walks grad_out
+/// once per group of up to 32 lanes, so narrower blocks would add passes.
+/// Both sides write disjoint outputs and run as one task list, weight
+/// blocks first — they are fewer and longer, so a pool starts them early
+/// and fills in with sample chunks.
+void Conv2dBackwardSimd(const float* xd, const float* wd, const float* gd,
+                        float* gid, float* gwd, const Dims& d,
+                        runtime::Workspace& scratch) {
+  const long taps = d.kernel * d.kernel;
+  const long kk = d.c_out * taps;
+  const long n_grain = (d.n + kMaxConvPacks - 1) / kMaxConvPacks;
+  const long in_chunks = runtime::NumChunks(d.n, n_grain);
+  const long in_len = InputChunkLen(d);
+  const long k_grain =
+      ((d.w_per_out + kMaxConvPacks - 1) / kMaxConvPacks + 31) & ~31L;
+  const long w_blocks = runtime::NumChunks(d.w_per_out, k_grain);
+  const long w_len = WeightBlockLen(d, k_grain);
+
+  // W^T [ci][(co, ky, kx)], a +0 bias row for both tiles, the chunk buffers.
+  const long zeros_len = std::max(d.c_in, d.c_out);
+  float* wt = scratch
+                  .Acquire(slots::kBackInPack, d.c_in * kk + zeros_len +
+                                                   in_chunks * in_len)
+                  .data();
+  float* zeros = wt + d.c_in * kk;
+  float* in_bufs = zeros + zeros_len;
+  for (long co = 0; co < d.c_out; ++co)
+    for (long ci = 0; ci < d.c_in; ++ci)
+      std::copy_n(wd + co * d.w_per_out + ci * taps, taps,
+                  wt + ci * kk + co * taps);
+  std::fill_n(zeros, zeros_len, 0.0f);
+  float* w_bufs =
+      scratch.Acquire(slots::kBackWPack, w_blocks * w_len).data();
+  std::int32_t* offs =
+      scratch.AcquireI32(slots::kOffsets, static_cast<std::size_t>(d.w_per_out))
+          .data();
+
+  runtime::ParallelFor(
+      0, w_blocks + in_chunks,
+      [&](long task) {
+        if (task < w_blocks) {
+          const long k_lo = task * k_grain;
+          WeightGradBlock(xd, gd, zeros, gwd, w_bufs + task * w_len,
+                          offs + k_lo, k_lo,
+                          std::min(d.w_per_out, k_lo + k_grain), d);
+          return;
+        }
+        const long chunk = task - w_blocks;
+        const long lo = chunk * n_grain;
+        InputGradChunk(wt, zeros, gd, gid, in_bufs + chunk * in_len, lo,
+                       std::min(d.n, lo + n_grain), d);
+      },
+      /*grain=*/1);
+}
+
 }  // namespace
 
 // --- fp32 dispatcher ---------------------------------------------------------
@@ -439,6 +752,47 @@ void Conv2dForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
   // saw one, the whole call is recomputed by naive.
   if (nonfinite)
     Conv2dNaive(xd, wd, bd, od, d);
+}
+
+// --- fp32 backward dispatcher ------------------------------------------------
+
+void Conv2dBackward(const Tensor& weight, const Tensor& x,
+                    const Tensor& grad_out, Tensor& grad_in, Tensor& dweight,
+                    Tensor& dbias, const Conv2dGeom& geom, KernelMode mode,
+                    runtime::Workspace& scratch) {
+  AXSNN_CHECK(x.rank() >= 3, "Conv2dBackward expects [*, C, H, W]");
+  const Dims d = MakeDims(x.numel(), x.shape(), geom);
+  AXSNN_CHECK(weight.numel() == d.c_out * d.w_per_out &&
+                  dweight.numel() == weight.numel() &&
+                  dbias.numel() == d.c_out,
+              "Conv2dBackward parameter shape mismatch");
+  AXSNN_CHECK(grad_out.numel() == d.n * d.o_sample,
+              "Conv2dBackward gradient shape mismatch");
+  AXSNN_CHECK(grad_in.numel() == x.numel(),
+              "Conv2dBackward input gradient not sized");
+
+  const float* xd = x.data();
+  const float* wd = weight.data();
+  const float* gd = grad_out.data();
+  float* gid = grad_in.data();
+  float* gwd = dweight.data();
+
+  const bool grad_finite = BiasGradF32(gd, dbias.data(), d);
+  // The simd tiles' skipped ±0 terms (pruned weights, zero gradients) and
+  // +0 padding terms are exact no-ops only when the weights, grad_out and
+  // x are all finite (ZeroTermsAreNoOps with the tiles' +0 bias): the
+  // naive loops run otherwise.
+  const bool simd = ResolveKernelMode(mode) != KernelMode::kNaive &&
+                    ActiveSimdTier() != SimdTier::kScalar && grad_finite &&
+                    ZeroTermsAreNoOps(weight, Tensor()) &&
+                    AllFinite(xd, x.numel());
+  if (simd) {
+    Conv2dBackwardSimd(xd, wd, gd, gid, gwd, d, scratch);
+    return;
+  }
+  grad_in.Zero();
+  InputGradNaive(wd, gd, gid, d);
+  WeightGradNaive(xd, gd, gwd, d);
 }
 
 // --- int8 dispatcher ---------------------------------------------------------

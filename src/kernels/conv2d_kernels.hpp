@@ -15,6 +15,18 @@
 // when a sparse call meets an inf/NaN activation. int8 results are
 // identical outright (int32 accumulation is exact). The differential suite
 // in tests/test_kernels.cpp pins this bit for bit.
+//
+// The fp32 backward keeps the same contract against its naive loops. Its
+// simd path runs both gradients through the forward's simd::ConvGemmF32
+// tile, every accumulator starting at +0: the input gradient per sample as
+// (W^T [ci][(co, ky, kx)]) x (a grad_out pack, +0 outside the output
+// plane), each lane summing (co, ky, kx) in the naive order with pruned
+// weights skipped; the weight gradient per sample as (grad_out [co][p]) x
+// (transposed im2col [p][k]), each lane summing p in the naive (oy, ox)
+// order with zero gradients skipped, added into dweight in ascending
+// sample order. The skipped terms and the +0 padding terms are ±0 no-ops
+// exactly when the weights, grad_out and the input are all finite, so the
+// dispatcher runs the naive loops otherwise.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +57,19 @@ void Conv2dForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
                    Tensor& out, const Conv2dGeom& geom, KernelMode mode,
                    runtime::Workspace& scratch,
                    const PackedWords* packed = nullptr);
+
+/// fp32 convolution backward for Conv2dForward's input `x`: writes the
+/// input gradient into `grad_in` (sized like `x`, overwritten) and adds
+/// the weight and bias gradients into `dweight` ([C_out, C_in, K, K]) and
+/// `dbias` ([C_out]). `grad_out` must have the forward output's element
+/// count. Runs the simd path unless `mode` resolves to naive, the SIMD
+/// tier is scalar, or a weight, an input or a grad_out element is not
+/// finite — then the naive loops. Results do not depend on the path or the
+/// pool size.
+void Conv2dBackward(const Tensor& weight, const Tensor& x,
+                    const Tensor& grad_out, Tensor& grad_in, Tensor& dweight,
+                    Tensor& dbias, const Conv2dGeom& geom, KernelMode mode,
+                    runtime::Workspace& scratch);
 
 /// int8 convolution forward. `qact` holds the activation codes (int8 values
 /// staged in int32 lanes, length n * C_in * h * w) already quantized by the

@@ -169,8 +169,10 @@ namespace slots {
 // float slots (Workspace::Acquire)
 inline constexpr std::size_t kPack = 0;        ///< fp32 simd packs
 inline constexpr std::size_t kSparseVals = 1;  ///< gathered nonzero values
+inline constexpr std::size_t kBackInPack = 2;  ///< conv input-gradient packs
+inline constexpr std::size_t kBackWPack = 3;   ///< conv weight-gradient packs
 // int32 slots (Workspace::AcquireI32)
-inline constexpr std::size_t kOffsets = 0;  ///< per-plane nonzero offsets
+inline constexpr std::size_t kOffsets = 0;  ///< nonzero / conv tap offsets
 inline constexpr std::size_t kRows = 1;     ///< nonzero row coords / indices
 inline constexpr std::size_t kCols = 2;     ///< nonzero col coords
 inline constexpr std::size_t kQAct = 3;     ///< conv activation codes

@@ -4,7 +4,11 @@
 // convolution treats the leading [T, B] axes of a time-major activation as
 // one large batch. Backward accumulates weight/bias gradients summed over
 // time and returns the input gradient, enabling both training (BPTT) and
-// input-space adversarial attacks.
+// input-space adversarial attacks. Both directions run in the kernel
+// dispatcher (kernels/conv2d_kernels.hpp): the backward takes the exact
+// simd path unless the layer's kernel mode resolves to naive, the SIMD tier
+// is off, or a weight, the cached input or the incoming gradient holds a
+// non-finite value — results are bit-identical either way.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +42,8 @@ class Conv2d final : public Layer {
   /// pass-through to the kernel dispatcher (kernels::PackedWords).
   void ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) override;
   void BeginStepped(long time_steps, long batch) override;
+  /// `grad_out` must have exactly OutputShape(input of the last cached
+  /// forward); any other shape throws.
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Tensor*> Params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> Grads() override { return {&dweight_, &dbias_}; }

@@ -10,7 +10,9 @@
 // The suite sweeps shapes (1x1 kernels, pad 0 and kernel-1, H=W=1, single
 // channels, odd sizes), spike densities 0 / 1% / 50% / 100%, and pool sizes
 // 1 and 4; a special-value case adds +inf (an activation bit flip of a
-// 1.0f spike), NaN, −0 inputs, −0 biases and non-finite weights. A golden
+// 1.0f spike), NaN, −0 inputs, −0 biases and non-finite weights. The conv
+// backward's simd path is pinned against its naive loops the same way
+// (grad_in, dweight and dbias, special values included). A golden
 // determinism test then pins the end-to-end guarantee: a fig2-style mini
 // sweep whose report is byte-identical across every kernel mode and pool
 // size, so Algorithm-1 search results can never depend on the dispatch
@@ -40,6 +42,7 @@
 #include "kernels/dispatch.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/workspace.hpp"
+#include "snn/conv2d.hpp"
 #include "snn/dense.hpp"
 #include "snn/models.hpp"
 #include "tensor/quantized.hpp"
@@ -444,6 +447,103 @@ TEST(KernelEquivalence, DenseFp32SpecialValuesBitIdentical) {
     }
   }
   seen.ExpectAll();
+}
+
+// --- conv2d backward ---------------------------------------------------------
+
+struct ConvGrads {
+  Tensor grad_in, dweight, dbias;
+};
+
+/// Runs one forward and then one accumulating Conv2d::Backward per entry
+/// of `grads`, with `mode` forced globally; returns the last input
+/// gradient and the accumulated parameter gradients.
+ConvGrads RunConvBackward(const ConvCase& c, const Tensor& w, const Tensor& x,
+                          const std::vector<Tensor>& grads, KernelMode mode) {
+  ScopedKernelMode force(mode);
+  Rng init(0);
+  snn::Conv2d conv("c", c.c_in, c.c_out, c.k, c.pad, init);
+  conv.weight() = w;
+  Tensor out;
+  conv.ForwardInto(x, out, /*train=*/true);
+  ConvGrads r;
+  for (const Tensor& g : grads) r.grad_in = conv.Backward(g);
+  r.dweight = *conv.Grads()[0];
+  r.dbias = *conv.Grads()[1];
+  return r;
+}
+
+/// An output gradient with the sign mix BPTT produces: normal values, a
+/// quarter exact +0 and a quarter −0.
+Tensor MakeGrad(Shape shape, Rng& rng) {
+  Tensor g = Tensor::Normal(std::move(shape), 0.0f, 1.0f, rng);
+  for (long i = 0; i < g.numel(); ++i) {
+    const long r = static_cast<long>(rng.UniformInt(4));
+    if (r == 0) g[i] = 0.0f;
+    if (r == 1) g[i] = -0.0f;
+  }
+  return g;
+}
+
+/// The simd conv backward against the naive loops, bit for bit: grad_in,
+/// and dweight / dbias accumulated over two Backward calls. The shapes
+/// cover one input channel, C_out 8 / 12 / 24 (a whole lane tile, and
+/// masked tails in both the weight-gradient tile, whose lanes are output
+/// channels, and the input-gradient tile, whose lanes are pixels of 4x4,
+/// 7x7 and 16x16 planes), K 3 and 5, pad 0 / 1 / 2. Weights are pruned
+/// (±0 weights skipped), sample 0 is silent, and the gradients carry −0
+/// and +0 (skipped zero gradients). The special variants — inf/NaN
+/// activations, +inf or NaN in grad_out, one +inf weight — must reach the
+/// same bits through the naive fallback.
+TEST(KernelEquivalence, Conv2dBackwardBitIdentical) {
+  Rng rng(48);
+  const ConvCase cases[] = {
+      {3, 1, 8, 16, 16, 3, 1},  {2, 2, 12, 7, 7, 5, 2},
+      {2, 12, 24, 4, 4, 3, 0},  {3, 2, 24, 7, 7, 3, 1},
+      {2, 12, 8, 16, 16, 5, 1}, {2, 1, 12, 7, 7, 5, 0},
+      {2, 12, 12, 4, 4, 5, 2},
+  };
+  const char* const variants[] = {"finite", "inf/NaN x", "inf grad",
+                                  "NaN grad", "inf weight"};
+  for (int threads : {1, 4}) {
+    ScopedThreads pool(threads);
+    for (const ConvCase& c : cases) {
+      const long h_out = c.h + 2 * c.pad - c.k + 1;
+      const long w_out = c.w + 2 * c.pad - c.k + 1;
+      for (const char* variant : variants) {
+        SCOPED_TRACE(::testing::Message()
+                     << "threads=" << threads << " c_in=" << c.c_in
+                     << " c_out=" << c.c_out << " h=" << c.h << " k=" << c.k
+                     << " pad=" << c.pad << " variant=" << variant);
+        const std::string v = variant;
+        Tensor w = MakePrunedWeights({c.c_out, c.c_in, c.k, c.k}, rng);
+        Tensor x = MakeSpikes({c.n, c.c_in, c.h, c.w}, 0.3f, rng);
+        for (long i = 0; i < c.c_in * c.h * c.w; ++i) x[i] = 0.0f;
+        if (v == "inf/NaN x") x = WithSpecialValues(std::move(x), rng);
+        std::vector<Tensor> grads;
+        for (int call = 0; call < 2; ++call)
+          grads.push_back(MakeGrad({c.n, c.c_out, h_out, w_out}, rng));
+        if (v == "inf grad")
+          grads[1][grads[1].numel() / 2] =
+              std::numeric_limits<float>::infinity();
+        if (v == "NaN grad")
+          grads[0][1] = std::numeric_limits<float>::quiet_NaN();
+        if (v == "inf weight")
+          w[w.numel() - 1] = std::numeric_limits<float>::infinity();
+
+        const ConvGrads naive =
+            RunConvBackward(c, w, x, grads, KernelMode::kNaive);
+        std::vector<KernelMode> modes = {KernelMode::kAuto};
+        if (SimdTierAvailable()) modes.push_back(KernelMode::kSimd);
+        for (KernelMode mode : modes) {
+          const ConvGrads got = RunConvBackward(c, w, x, grads, mode);
+          ExpectBitIdentical(got.grad_in, naive.grad_in, "grad_in");
+          ExpectBitIdentical(got.dweight, naive.dweight, "dweight");
+          ExpectBitIdentical(got.dbias, naive.dbias, "dbias");
+        }
+      }
+    }
+  }
 }
 
 // --- dispatch unit tests -----------------------------------------------------

@@ -149,6 +149,22 @@ TEST(Conv2d, RejectsBadConstruction) {
   EXPECT_THROW(conv.Backward(Tensor({1, 1, 4, 4})), std::invalid_argument);
 }
 
+TEST(Conv2d, BackwardRejectsMisshapenGradient) {
+  // Backward takes exactly OutputShape(input): a gradient with the right
+  // element count but permuted dims, or the [T, B] prefix flattened, is a
+  // caller bug and must throw instead of being read in the wrong layout.
+  Rng rng(31);
+  Conv2d conv("c", 2, 3, 3, 1, rng);
+  Tensor x = Tensor::Uniform({2, 1, 2, 4, 4}, 0.0f, 1.0f, rng);
+  Tensor out;
+  conv.ForwardInto(x, out, true);
+  ASSERT_EQ(out.shape(), (Shape{2, 1, 3, 4, 4}));
+  EXPECT_THROW(conv.Backward(Tensor({2, 3, 1, 4, 4})), std::invalid_argument);
+  EXPECT_THROW(conv.Backward(Tensor({2, 1, 4, 3, 4})), std::invalid_argument);
+  EXPECT_THROW(conv.Backward(Tensor({2, 3, 4, 4})), std::invalid_argument);
+  EXPECT_EQ(conv.Backward(Tensor(out.shape())).shape(), x.shape());
+}
+
 TEST(Conv2d, InferenceForwardSkipsInputCache) {
   // Inference passes (train == false, grad_cache off) must not copy the
   // input into the Backward cache — Backward after such a pass throws, and
