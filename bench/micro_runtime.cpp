@@ -20,15 +20,12 @@
 //      the simd path, at the static conv2/conv3 (T*B = 256) and DVS
 //      conv1/conv2 (T*B = 384) shapes and input densities of the repository
 //      benchmark, on 1 thread and on every hardware thread;
-//  5. scenario grids — wall-clock of a miniature fig2-style ScenarioGrid
-//     with and without the engine's trained-model cache (the cache is what
-//     makes grids sharing structural cells cheap);
-//  5b. distributed scenario execution — the same miniature grid cold
-//      (empty artifact store), warm (fresh process image, artifacts on
-//      disk) and resumed (journal replay). Asserts the distributed-
-//      execution contract that warm and resumed runs recompute nothing
-//      (0 trainings, 0 crafts); a violation fails the process. The
-//      resume-vs-cold ratio is the checkpoint/resume value proposition;
+//  5. distributed scenario execution — a miniature fig2-style grid cold
+//     (empty artifact store), warm (fresh process image, artifacts on
+//     disk) and resumed (journal replay). Asserts the distributed-execution
+//     contract that warm and resumed runs recompute nothing (0 trainings,
+//     0 crafts); a violation fails the process. The resume-vs-cold ratio
+//     is the checkpoint/resume value proposition;
 //  6. event pipeline — DVS end-to-end (events -> binning -> predictions)
 //     wall-clock of the dense [N, T, C, H, W] reference path vs the
 //     compressed spike-stream event path, swept over the silent-timestep
@@ -397,50 +394,6 @@ std::vector<ConvBackwardPoint> RunConvBackward(int repeats) {
   return points;
 }
 
-struct ScenarioGridTimings {
-  long cells = 0;
-  long units = 0;
-  double with_cache_s = 0.0;
-  double without_cache_s = 0.0;
-  long trained_with_cache = 0;
-  long trained_without_cache = 0;
-  long train_cache_hits = 0;
-};
-
-/// Times one miniature fig2-style grid (1 structural cell, PGD at two
-/// epsilons, two approximation levels) with the trained-model cache on and
-/// off. Training dominates, so the uncached run pays it once per work unit
-/// while the cached run pays it once per structural cell — the wall-clock
-/// ratio is the cache's whole value proposition for the fig4-fig7 heatmap
-/// grids (63 shared cells, 2 attacks each).
-ScenarioGridTimings RunScenarioComparison() {
-  core::StaticWorkbench workbench = bench::MiniFig2Workbench();
-
-  scenario::ScenarioGrid grid;
-  grid.v_thresholds = {0.25f};
-  grid.time_steps = {8};
-  grid.attacks = {scenario::AttackSpec{"PGD", {}}};
-  grid.epsilons = {0.025, 0.05};
-  grid.levels = {0.0, 0.01};
-
-  ScenarioGridTimings t;
-  t.cells = static_cast<long>(grid.CellCount());
-  t.units = static_cast<long>(grid.epsilons.size());
-
-  scenario::StaticScenarioEngine cached(workbench);
-  const auto cached_out = cached.Run(grid);
-  t.with_cache_s = cached_out.stats.wall_seconds;
-  t.trained_with_cache = cached_out.stats.trained_models;
-  t.train_cache_hits = cached_out.stats.train_cache_hits;
-
-  scenario::StaticScenarioEngine uncached(workbench);
-  uncached.set_model_cache_enabled(false);
-  const auto uncached_out = uncached.Run(grid);
-  t.without_cache_s = uncached_out.stats.wall_seconds;
-  t.trained_without_cache = uncached_out.stats.trained_models;
-  return t;
-}
-
 struct ScenarioDistTimings {
   long cells = 0;
   long units = 0;
@@ -464,7 +417,8 @@ struct ScenarioDistTimings {
   }
 };
 
-/// Times the RunScenarioComparison grid against a persistent artifact
+/// Times a miniature fig2-style grid (1 structural cell, PGD at two
+/// epsilons, two approximation levels) against a persistent artifact
 /// store: cold (empty directory), then warm and resumed — each with a
 /// fresh engine and a fresh store object, so nothing survives in memory
 /// and the run models a restarted process. Warm reloads models/crafts and
@@ -719,19 +673,6 @@ int main(int argc, char** argv) {
                 p.layer, p.n, p.c_in, p.c_out, p.hw, p.hw, p.density,
                 p.threads, p.naive_ms, p.simd_ms, p.naive_ms / p.simd_ms);
 
-  const auto scenario_grid = axsnn::RunScenarioComparison();
-  std::printf("\nscenario grid (%ld cells, %ld work units sharing one "
-              "structural cell):\n",
-              scenario_grid.cells, scenario_grid.units);
-  std::printf("  model cache on    %7.3f s   (%ld training runs, %ld hits)\n",
-              scenario_grid.with_cache_s, scenario_grid.trained_with_cache,
-              scenario_grid.train_cache_hits);
-  std::printf("  model cache off   %7.3f s   (%ld training runs)\n",
-              scenario_grid.without_cache_s,
-              scenario_grid.trained_without_cache);
-  std::printf("  cache speedup     %7.2fx\n",
-              scenario_grid.without_cache_s / scenario_grid.with_cache_s);
-
   const auto dist = axsnn::RunScenarioDist();
   std::printf("\nscenario dist (%ld cells, %ld units; persistent store, "
               "fresh engine per run):\n",
@@ -835,20 +776,6 @@ int main(int argc, char** argv) {
                    i + 1 < conv_backward.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n  },\n");
-    std::fprintf(f, "  \"scenario_grid\": {\n");
-    std::fprintf(f, "    \"cells\": %ld,\n", scenario_grid.cells);
-    std::fprintf(f, "    \"work_units\": %ld,\n", scenario_grid.units);
-    std::fprintf(f, "    \"with_model_cache_s\": %.4f,\n",
-                 scenario_grid.with_cache_s);
-    std::fprintf(f, "    \"without_model_cache_s\": %.4f,\n",
-                 scenario_grid.without_cache_s);
-    std::fprintf(f, "    \"cache_speedup\": %.3f,\n",
-                 scenario_grid.without_cache_s / scenario_grid.with_cache_s);
-    std::fprintf(f, "    \"trained_with_cache\": %ld,\n",
-                 scenario_grid.trained_with_cache);
-    std::fprintf(f, "    \"trained_without_cache\": %ld\n",
-                 scenario_grid.trained_without_cache);
-    std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"scenario_dist\": {\n");
     std::fprintf(f, "    \"cells\": %ld,\n", dist.cells);
     std::fprintf(f, "    \"work_units\": %ld,\n", dist.units);

@@ -33,6 +33,8 @@ struct AqfConfig {
   int activity_threshold = 5;
   /// Temporal correlation threshold T2 (ms).
   float temporal_threshold_ms = 50.0f;
+
+  friend bool operator==(const AqfConfig&, const AqfConfig&) = default;
 };
 
 /// Statistics of one filtering pass (useful for tests and reports).

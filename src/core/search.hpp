@@ -18,8 +18,12 @@
 #include "core/workbench.hpp"
 
 namespace axsnn::scenario {
-class StaticScenarioEngine;
-class DvsScenarioEngine;
+struct StaticWorkload;
+struct DvsWorkload;
+template <typename W>
+class ScenarioEngine;
+using StaticScenarioEngine = ScenarioEngine<StaticWorkload>;
+using DvsScenarioEngine = ScenarioEngine<DvsWorkload>;
 }  // namespace axsnn::scenario
 
 namespace axsnn::core {

@@ -1,7 +1,7 @@
 #include "scenario/engine.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -22,27 +22,16 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-std::uint64_t DoubleKeyBits(double value) {
-  std::uint64_t bits = 0;
+std::uint32_t FloatKeyBits(float value) {
+  std::uint32_t bits = 0;
   std::memcpy(&bits, &value, sizeof(bits));
   return bits;
 }
 
-/// Collision-free craft-cache key: structural cell + attack identity (the
-/// deterministic label includes parameter overrides) + exact epsilon bits.
-std::string CraftKey(float vth, long time_steps, const AttackSpec& attack,
-                     double epsilon) {
-  std::ostringstream os;
-  os << 'v' << detail::FloatKeyBits(vth) << '|' << 't' << time_steps << '|'
-     << attack.Label() << '|' << 'e' << DoubleKeyBits(epsilon);
-  return os.str();
-}
-
-/// The per-unit variant list: the aqf x precision x level x kernel inner
-/// block of the documented nesting, in cell order. The aqf coordinate is
-/// not a variant property (the static engine forbids it, the DVS engine
-/// evaluates one aqf slice at a time), so the list covers precision x level
-/// x kernel and callers place it per aqf slice.
+/// The per-unit variant list: the precision x level x kernel part of the
+/// documented nesting, in cell order. The aqf coordinate is not a variant
+/// property (Run evaluates one aqf slice at a time) and the fault axis is
+/// applied per (variant, fault) pair, so callers place this list per slice.
 std::vector<core::VariantSpec> VariantBlock(const ScenarioGrid& grid) {
   std::vector<core::VariantSpec> specs;
   specs.reserve(grid.precisions.size() * grid.levels.size() *
@@ -63,9 +52,9 @@ faults::FaultSpec AttackFault(const AttackSpec& attack) {
 }
 
 /// True when a unit with this attack takes the fault-free fast path — the
-/// single EvaluateVariants call of the 8-axis engine. Fault-free grids
-/// (default single none fault axis, perturbation attack) must keep their
-/// golden reports byte-identical, so that path is preserved verbatim.
+/// single EvaluateVariants call per slice. Fault-free grids (default single
+/// none fault axis, perturbation attack) must keep their golden reports
+/// byte-identical, so that path is preserved verbatim.
 bool FaultFreeUnit(const ScenarioGrid& grid,
                    const faults::FaultSpec& attack_fault) {
   return attack_fault.is_none() && grid.faults.size() == 1 &&
@@ -105,31 +94,34 @@ void ApplyReplay(const UnitRecord& record, std::size_t base, std::size_t block,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// StaticScenarioEngine
+// ScenarioEngine
 // ---------------------------------------------------------------------------
 
-StaticScenarioEngine::StaticScenarioEngine(const core::StaticWorkbench& bench)
-    : bench_(bench) {
-  train_fn_ = [this](float vth, long t) { return bench_.Train(vth, t); };
-  craft_fn_ = [this](const TrainedModel& model, const AttackSpec& attack,
-                     float epsilon) {
-    return bench_.Craft(model, attack.name, epsilon, attack.params);
-  };
-}
+template <typename W>
+ScenarioEngine<W>::ScenarioEngine(const Bench& bench)
+    : bench_(bench),
+      train_fn_(W::DefaultTrain(bench)),
+      craft_fn_(W::DefaultCraft(bench)) {}
 
-void StaticScenarioEngine::set_train_fn(TrainFn fn) {
+template <typename W>
+void ScenarioEngine<W>::set_train_fn(TrainFn fn) {
   AXSNN_CHECK(fn != nullptr, "train hook must be callable");
   train_fn_ = std::move(fn);
 }
 
-void StaticScenarioEngine::set_craft_fn(CraftFn fn) {
+template <typename W>
+void ScenarioEngine<W>::set_craft_fn(CraftFn fn) {
   AXSNN_CHECK(fn != nullptr, "craft hook must be callable");
   craft_fn_ = std::move(fn);
 }
 
-const StaticScenarioEngine::TrainedModel& StaticScenarioEngine::TrainCached(
+template <typename W>
+const typename W::TrainedModel& ScenarioEngine<W>::TrainCached(
     float vth, long time_steps) {
-  return model_cache_.GetOrTrain(vth, time_steps, bench_.options().seed, [&] {
+  AXSNN_CHECK(W::TimeOverride(bench_).value_or(time_steps) == time_steps,
+              "this workbench fixes T by its binning; got T=" << time_steps);
+  const ModelKey key{FloatKeyBits(vth), time_steps, bench_.options().seed};
+  return model_cache_.GetOrCompute(key, [&] {
     if (store_ != nullptr) {
       TrainedModel from_disk;
       if (store_->LoadModel(vth, time_steps, from_disk)) {
@@ -137,27 +129,49 @@ const StaticScenarioEngine::TrainedModel& StaticScenarioEngine::TrainCached(
         return from_disk;
       }
     }
-    TrainedModel fresh = train_fn_(vth, time_steps);
+    TrainedModel fresh = W::Train(train_fn_, vth, time_steps);
     computed_trains_.fetch_add(1, std::memory_order_relaxed);
-    if (store_ != nullptr) store_->SaveModel(fresh);
+    if (store_ != nullptr) store_->SaveModel(vth, time_steps, fresh);
     return fresh;
   });
 }
 
-void StaticScenarioEngine::ClearCraftCache() { craft_cache_.Clear(); }
-
-ScenarioOutcome StaticScenarioEngine::Run(const ScenarioGrid& grid) {
-  return Run(grid, RunOptions{});
+template <typename W>
+const typename W::Crafted& ScenarioEngine<W>::CraftCached(
+    const TrainedModel& model, float vth, long time_steps,
+    const AttackSpec& attack, double epsilon) {
+  // Collision-free key: structural cell + attack identity (the
+  // deterministic label includes parameter overrides) + exact epsilon bits
+  // where the workload uses an epsilon.
+  std::ostringstream key;
+  key << 'v' << FloatKeyBits(vth) << "|t" << time_steps << '|'
+      << attack.Label() << W::EpsilonKey(epsilon);
+  return craft_cache_.GetOrCompute(key.str(), [&] {
+    if (store_ != nullptr) {
+      Crafted from_disk;
+      if (store_->LoadCraft(vth, time_steps, attack, epsilon, from_disk)) {
+        store_craft_hits_.fetch_add(1, std::memory_order_relaxed);
+        return from_disk;
+      }
+    }
+    Crafted fresh = W::Craft(craft_fn_, model, attack, epsilon);
+    computed_crafts_.fetch_add(1, std::memory_order_relaxed);
+    if (store_ != nullptr)
+      store_->SaveCraft(vth, time_steps, attack, epsilon, fresh);
+    return fresh;
+  });
 }
 
-ScenarioOutcome StaticScenarioEngine::Run(const ScenarioGrid& grid,
-                                          const RunOptions& options) {
-  ValidateScenarioGrid(grid, /*for_events=*/false);
+template <typename W>
+ScenarioOutcome ScenarioEngine<W>::Run(const ScenarioGrid& grid,
+                                       const RunOptions& options) {
+  ValidateScenarioGrid(grid, W::kForEvents);
   ValidateRunOptions(options, store_);
 
+  const std::optional<long> time_override = W::TimeOverride(bench_);
   ScenarioOutcome outcome;
   outcome.grid = grid;
-  outcome.cells = ExpandScenarioGrid(grid);
+  outcome.cells = ExpandScenarioGrid(grid, time_override);
   const std::size_t cell_count = outcome.cells.size();
   outcome.robustness_pct.assign(cell_count,
                                 std::numeric_limits<float>::quiet_NaN());
@@ -167,28 +181,26 @@ ScenarioOutcome StaticScenarioEngine::Run(const ScenarioGrid& grid,
   const auto run_start = Clock::now();
   const long train_hits0 = model_cache_.hits();
   const long craft_hits0 = craft_cache_.hits();
-  const long computed_trains0 =
-      computed_trains_.load(std::memory_order_relaxed);
-  const long computed_crafts0 =
-      computed_crafts_.load(std::memory_order_relaxed);
-  const long store_model_hits0 =
-      store_model_hits_.load(std::memory_order_relaxed);
-  const long store_craft_hits0 =
-      store_craft_hits_.load(std::memory_order_relaxed);
-  std::atomic<long> uncached_trainings{0};
+  const long computed_trains0 = computed_trains_.load();
+  const long computed_crafts0 = computed_crafts_.load();
+  const long store_model_hits0 = store_model_hits_.load();
+  const long store_craft_hits0 = store_craft_hits_.load();
   std::atomic<long> gated_units{0};
   std::atomic<long> replayed_units{0};
   std::atomic<long> faulted_evals{0};
 
   const std::vector<core::VariantSpec> variants = VariantBlock(grid);
   const std::size_t fault_count = grid.faults.size();
-  const std::size_t block =
-      grid.aqfs.size() * variants.size() * fault_count;  // cells per unit
+  const std::size_t slice_size = variants.size() * fault_count;
+  const std::size_t block = grid.aqfs.size() * slice_size;  // cells per unit
   const long vth_count = static_cast<long>(grid.v_thresholds.size());
   const long time_count = static_cast<long>(grid.time_steps.size());
   const long attack_count = static_cast<long>(grid.attacks.size());
   const long eps_count = static_cast<long>(grid.epsilons.size());
   const long unit_count = vth_count * time_count * attack_count * eps_count;
+  const auto cell_time = [&](std::size_t it) {
+    return time_override.value_or(grid.time_steps[it]);
+  };
 
   // Unit planning: shard partition (unit % N), then journal replay for
   // resumed runs. The replay probe is sequential disk I/O — cheap next to
@@ -215,38 +227,33 @@ ScenarioOutcome StaticScenarioEngine::Run(const ScenarioGrid& grid,
 
   // Phase 1: train every structural cell that still has a unit to compute,
   // cells in parallel. Replayed/foreign-shard units never touch a model, so
-  // a warm resume trains nothing. With the cache disabled units train for
-  // themselves in phase 2.
-  if (cache_enabled_) {
-    std::vector<long> needed_cells;
-    std::vector<char> cell_needed(
-        static_cast<std::size_t>(vth_count * time_count), 0);
-    for (long unit = 0; unit < unit_count; ++unit) {
-      if (plan[static_cast<std::size_t>(unit)] != UnitPlan::kCompute) continue;
-      const long cell = unit / (attack_count * eps_count);
-      if (!cell_needed[static_cast<std::size_t>(cell)]) {
-        cell_needed[static_cast<std::size_t>(cell)] = 1;
-        needed_cells.push_back(cell);
-      }
+  // a warm resume trains nothing.
+  std::vector<long> needed_cells;
+  std::vector<char> cell_needed(
+      static_cast<std::size_t>(vth_count * time_count), 0);
+  for (long unit = 0; unit < unit_count; ++unit) {
+    if (plan[static_cast<std::size_t>(unit)] != UnitPlan::kCompute) continue;
+    const long cell = unit / (attack_count * eps_count);
+    if (!cell_needed[static_cast<std::size_t>(cell)]) {
+      cell_needed[static_cast<std::size_t>(cell)] = 1;
+      needed_cells.push_back(cell);
     }
-    runtime::ParallelFor(
-        0, static_cast<long>(needed_cells.size()),
-        [&](long i) {
-          const long cell = needed_cells[static_cast<std::size_t>(i)];
-          const float vth =
-              grid.v_thresholds[static_cast<std::size_t>(cell / time_count)];
-          const long t =
-              grid.time_steps[static_cast<std::size_t>(cell % time_count)];
-          (void)TrainCached(vth, t);
-        },
-        /*grain=*/1);
   }
+  runtime::ParallelFor(
+      0, static_cast<long>(needed_cells.size()),
+      [&](long i) {
+        const long cell = needed_cells[static_cast<std::size_t>(i)];
+        (void)TrainCached(
+            grid.v_thresholds[static_cast<std::size_t>(cell / time_count)],
+            cell_time(static_cast<std::size_t>(cell % time_count)));
+      },
+      /*grain=*/1);
   outcome.stats.train_seconds = SecondsSince(run_start);
 
   // Phase 2: one work unit per (structural cell, attack, epsilon) — craft
-  // once, then fan the variant block out through EvaluateVariants. Each
-  // unit owns a contiguous slice of the outcome, so the fan-out is
-  // bit-identical at any pool size and across any shard split.
+  // once, then evaluate the variant block per aqf slice. Each unit owns a
+  // contiguous slice of the outcome, so the fan-out is bit-identical at any
+  // pool size and across any shard split.
   const auto sweep_start = Clock::now();
 
   runtime::ParallelFor(
@@ -271,105 +278,78 @@ ScenarioOutcome StaticScenarioEngine::Run(const ScenarioGrid& grid,
         }
 
         const float vth = grid.v_thresholds[iv];
-        const long t = grid.time_steps[it];
+        const long t = cell_time(it);
         const AttackSpec& attack = grid.attacks[ia];
-        const double epsilon = grid.epsilons[ie];
-
-        TrainedModel local;
-        const TrainedModel* model = nullptr;
-        if (cache_enabled_) {
-          model = &TrainCached(vth, t);
-        } else {
-          local = train_fn_(vth, t);
-          uncached_trainings.fetch_add(1, std::memory_order_relaxed);
-          model = &local;
-        }
+        const TrainedModel& model = TrainCached(vth, t);
 
         for (std::size_t i = 0; i < block; ++i)
-          outcome.train_accuracy_pct[base + i] = model->train_accuracy_pct;
+          outcome.train_accuracy_pct[base + i] = model.train_accuracy_pct;
 
+        UnitRecord record;
+        record.train_accuracy_pct = model.train_accuracy_pct;
         if (grid.min_train_accuracy_pct.has_value() &&
-            model->train_accuracy_pct < *grid.min_train_accuracy_pct) {
+            model.train_accuracy_pct < *grid.min_train_accuracy_pct) {
           gated_units.fetch_add(1, std::memory_order_relaxed);
-          if (store_ != nullptr) {
-            UnitRecord record;
-            record.gated = true;
-            record.train_accuracy_pct = model->train_accuracy_pct;
-            store_->SaveUnit(grid_key, unit, record);
-          }
+          record.gated = true;
+          if (store_ != nullptr) store_->SaveUnit(grid_key, unit, record);
           return;  // robustness stays NaN, evaluated stays false
         }
 
         // Craft through the in-memory cache (persistent across Run calls),
         // which itself consults the disk store before computing.
-        const Tensor& adversarial = craft_cache_.GetOrCompute(
-            CraftKey(vth, t, attack, epsilon), [&] {
-              if (store_ != nullptr) {
-                Tensor from_disk;
-                if (store_->LoadCraft(*model, attack, epsilon, from_disk)) {
-                  store_craft_hits_.fetch_add(1, std::memory_order_relaxed);
-                  return from_disk;
-                }
-              }
-              Tensor fresh =
-                  craft_fn_(*model, attack, static_cast<float>(epsilon));
-              computed_crafts_.fetch_add(1, std::memory_order_relaxed);
-              if (store_ != nullptr)
-                store_->SaveCraft(*model, attack, epsilon, fresh);
-              return fresh;
-            });
+        const Crafted& adversarial =
+            CraftCached(model, vth, t, attack, grid.epsilons[ie]);
 
-        // Fault-free units keep the single EvaluateVariants call (and its
-        // bytes); fault units clone-then-corrupt every (variant, fault)
-        // pair and evaluate it on the pool — each pair owns its slot, so
-        // the fan-out stays bit-identical at any pool size. The attack's
-        // fault (if any) applies before the axis fault, on the variant's
-        // own precision surface.
+        // Fault-free units keep the single EvaluateVariants call per slice
+        // (and its bytes); fault units clone-then-corrupt every (variant,
+        // fault) pair and evaluate it on the pool — each pair owns its
+        // slot, so the fan-out stays bit-identical at any pool size. The
+        // attack's fault (if any) applies before the axis fault, on the
+        // variant's own precision surface. A slice whose aqf entry repeats
+        // an earlier one copies that slice (static grids: every entry is
+        // disengaged, so one evaluation fills the unit).
         const faults::FaultSpec attack_fault = AttackFault(attack);
-        std::vector<float> robustness;
-        if (FaultFreeUnit(grid, attack_fault)) {
-          robustness = bench_.EvaluateVariants(*model, adversarial, variants);
-        } else {
-          robustness.assign(variants.size() * fault_count, 0.0f);
-          runtime::ParallelFor(
-              0, static_cast<long>(robustness.size()),
-              [&](long j) {
-                const std::size_t ifl =
-                    static_cast<std::size_t>(j) % fault_count;
-                const std::size_t ivr =
-                    static_cast<std::size_t>(j) / fault_count;
-                const core::VariantSpec& vspec = variants[ivr];
-                snn::Network ax = bench_.MakeAx(*model, vspec);
-                bool faulted = false;
-                if (!attack_fault.is_none()) {
-                  faults::ApplyFault(ax, attack_fault, vspec.precision);
-                  faulted = true;
-                }
-                const faults::FaultSpec& axis_fault = grid.faults[ifl];
-                if (!axis_fault.is_none()) {
-                  faults::ApplyFault(ax, axis_fault, vspec.precision);
-                  faulted = true;
-                }
-                if (faulted)
-                  faulted_evals.fetch_add(1, std::memory_order_relaxed);
-                robustness[static_cast<std::size_t>(j)] =
-                    bench_.AccuracyPct(ax, adversarial, model->time_steps);
-              },
-              /*grain=*/1);
-        }
-        // Both paths produce the variants x faults inner block (fast path:
-        // fault_count == 1), replicated across the (disengaged) aqf axis.
         for (std::size_t iq = 0; iq < grid.aqfs.size(); ++iq) {
-          const std::size_t slice = base + iq * robustness.size();
-          for (std::size_t i = 0; i < robustness.size(); ++i) {
-            outcome.robustness_pct[slice + i] = robustness[i];
-            outcome.evaluated[slice + i] = 1;
+          const AqfSlice& aqf = grid.aqfs[iq];
+          const long offset = static_cast<long>(base + iq * slice_size);
+          const auto slice = outcome.robustness_pct.begin() + offset;
+          std::fill_n(outcome.evaluated.begin() + offset, slice_size, 1);
+          const std::size_t first = static_cast<std::size_t>(
+              std::find(grid.aqfs.begin(), grid.aqfs.end(), aqf) -
+              grid.aqfs.begin());
+          if (first < iq) {
+            std::copy_n(slice - static_cast<long>((iq - first) * slice_size),
+                        slice_size, slice);
+          } else if (FaultFreeUnit(grid, attack_fault)) {
+            const std::vector<float> robustness =
+                W::EvaluateVariants(bench_, model, adversarial, aqf, variants);
+            std::copy(robustness.begin(), robustness.end(), slice);
+          } else {
+            runtime::ParallelFor(
+                0, static_cast<long>(slice_size),
+                [&](long j) {
+                  const std::size_t ifl =
+                      static_cast<std::size_t>(j) % fault_count;
+                  const core::VariantSpec& vspec =
+                      variants[static_cast<std::size_t>(j) / fault_count];
+                  snn::Network ax = bench_.MakeAx(model, vspec);
+                  bool faulted = false;
+                  for (const faults::FaultSpec* fault :
+                       {&attack_fault, &grid.faults[ifl]}) {
+                    if (fault->is_none()) continue;
+                    faults::ApplyFault(ax, *fault, vspec.precision);
+                    faulted = true;
+                  }
+                  if (faulted)
+                    faulted_evals.fetch_add(1, std::memory_order_relaxed);
+                  slice[j] =
+                      W::AccuracyPct(bench_, model, ax, adversarial, aqf);
+                },
+                /*grain=*/1);
           }
         }
 
         if (store_ != nullptr) {
-          UnitRecord record;
-          record.train_accuracy_pct = model->train_accuracy_pct;
           record.robustness.assign(
               outcome.robustness_pct.begin() + static_cast<long>(base),
               outcome.robustness_pct.begin() + static_cast<long>(base + block));
@@ -378,23 +358,19 @@ ScenarioOutcome StaticScenarioEngine::Run(const ScenarioGrid& grid,
       },
       /*grain=*/1);
 
-  outcome.stats.sweep_seconds = SecondsSince(sweep_start);
-  outcome.stats.wall_seconds = SecondsSince(run_start);
-  outcome.stats.train_cache_hits = model_cache_.hits() - train_hits0;
-  outcome.stats.trained_models =
-      computed_trains_.load(std::memory_order_relaxed) - computed_trains0 +
-      uncached_trainings.load();
-  outcome.stats.craft_cache_hits = craft_cache_.hits() - craft_hits0;
-  outcome.stats.crafted_sets =
-      computed_crafts_.load(std::memory_order_relaxed) - computed_crafts0;
-  outcome.stats.store_model_hits =
-      store_model_hits_.load(std::memory_order_relaxed) - store_model_hits0;
-  outcome.stats.store_craft_hits =
-      store_craft_hits_.load(std::memory_order_relaxed) - store_craft_hits0;
-  outcome.stats.gated_units = gated_units.load();
-  outcome.stats.replayed_units = replayed_units.load();
-  outcome.stats.faulted_evals = faulted_evals.load();
-  outcome.stats.corrupt_entries =
+  ScenarioStats& stats = outcome.stats;
+  stats.sweep_seconds = SecondsSince(sweep_start);
+  stats.wall_seconds = SecondsSince(run_start);
+  stats.train_cache_hits = model_cache_.hits() - train_hits0;
+  stats.trained_models = computed_trains_.load() - computed_trains0;
+  stats.craft_cache_hits = craft_cache_.hits() - craft_hits0;
+  stats.crafted_sets = computed_crafts_.load() - computed_crafts0;
+  stats.store_model_hits = store_model_hits_.load() - store_model_hits0;
+  stats.store_craft_hits = store_craft_hits_.load() - store_craft_hits0;
+  stats.gated_units = gated_units.load();
+  stats.replayed_units = replayed_units.load();
+  stats.faulted_evals = faulted_evals.load();
+  stats.corrupt_entries =
       store_ != nullptr ? store_->artifacts().corrupt_entries() : 0;
 
   // Fold this run's fresh computations into the grid's cumulative journal
@@ -402,296 +378,19 @@ ScenarioOutcome StaticScenarioEngine::Run(const ScenarioGrid& grid,
   // trained/crafted counters as the single-process cold run. Exact when
   // shards of one grid run sequentially (the CI recipe); concurrent shards
   // keep correct cells but may under-count the shared totals.
+  GridTotals totals{stats.trained_models, stats.crafted_sets};
   if (store_ != nullptr) {
-    GridTotals totals = store_->LoadTotals(grid_key);
-    totals.trained_models += outcome.stats.trained_models;
-    totals.crafted_sets += outcome.stats.crafted_sets;
+    const GridTotals before = store_->LoadTotals(grid_key);
+    totals.trained_models += before.trained_models;
+    totals.crafted_sets += before.crafted_sets;
     store_->SaveTotals(grid_key, totals);
-    outcome.stats.total_trained_models = totals.trained_models;
-    outcome.stats.total_crafted_sets = totals.crafted_sets;
-  } else {
-    outcome.stats.total_trained_models = outcome.stats.trained_models;
-    outcome.stats.total_crafted_sets = outcome.stats.crafted_sets;
   }
+  stats.total_trained_models = totals.trained_models;
+  stats.total_crafted_sets = totals.crafted_sets;
   return outcome;
 }
 
-// ---------------------------------------------------------------------------
-// DvsScenarioEngine
-// ---------------------------------------------------------------------------
-
-DvsScenarioEngine::DvsScenarioEngine(const core::DvsWorkbench& bench)
-    : bench_(bench) {
-  train_fn_ = [this](float vth) { return bench_.Train(vth); };
-  craft_fn_ = [this](const TrainedModel& model, const AttackSpec& attack) {
-    return bench_.Craft(model, attack.name, attack.params);
-  };
-}
-
-void DvsScenarioEngine::set_train_fn(TrainFn fn) {
-  AXSNN_CHECK(fn != nullptr, "train hook must be callable");
-  train_fn_ = std::move(fn);
-}
-
-void DvsScenarioEngine::set_craft_fn(CraftFn fn) {
-  AXSNN_CHECK(fn != nullptr, "craft hook must be callable");
-  craft_fn_ = std::move(fn);
-}
-
-const DvsScenarioEngine::TrainedModel& DvsScenarioEngine::TrainCached(
-    float vth) {
-  return model_cache_.GetOrTrain(
-      vth, bench_.options().time_bins, bench_.options().seed, [&] {
-        if (store_ != nullptr) {
-          TrainedModel from_disk;
-          if (store_->LoadModel(vth, from_disk)) {
-            store_model_hits_.fetch_add(1, std::memory_order_relaxed);
-            return from_disk;
-          }
-        }
-        TrainedModel fresh = train_fn_(vth);
-        computed_trains_.fetch_add(1, std::memory_order_relaxed);
-        if (store_ != nullptr) store_->SaveModel(fresh);
-        return fresh;
-      });
-}
-
-void DvsScenarioEngine::ClearCraftCache() { craft_cache_.Clear(); }
-
-ScenarioOutcome DvsScenarioEngine::Run(const ScenarioGrid& grid) {
-  return Run(grid, RunOptions{});
-}
-
-ScenarioOutcome DvsScenarioEngine::Run(const ScenarioGrid& grid,
-                                       const RunOptions& options) {
-  ValidateScenarioGrid(grid, /*for_events=*/true);
-  ValidateRunOptions(options, store_);
-
-  ScenarioOutcome outcome;
-  outcome.grid = grid;
-  outcome.cells =
-      ExpandScenarioGrid(grid, /*time_override=*/bench_.options().time_bins);
-  const std::size_t cell_count = outcome.cells.size();
-  outcome.robustness_pct.assign(cell_count,
-                                std::numeric_limits<float>::quiet_NaN());
-  outcome.train_accuracy_pct.assign(cell_count, 0.0f);
-  outcome.evaluated.assign(cell_count, 0);
-
-  const auto run_start = Clock::now();
-  const long train_hits0 = model_cache_.hits();
-  const long craft_hits0 = craft_cache_.hits();
-  const long computed_trains0 =
-      computed_trains_.load(std::memory_order_relaxed);
-  const long computed_crafts0 =
-      computed_crafts_.load(std::memory_order_relaxed);
-  const long store_model_hits0 =
-      store_model_hits_.load(std::memory_order_relaxed);
-  const long store_craft_hits0 =
-      store_craft_hits_.load(std::memory_order_relaxed);
-  std::atomic<long> uncached_trainings{0};
-  std::atomic<long> gated_units{0};
-  std::atomic<long> replayed_units{0};
-  std::atomic<long> faulted_evals{0};
-
-  const std::vector<core::VariantSpec> variants = VariantBlock(grid);
-  const std::size_t fault_count = grid.faults.size();
-  const std::size_t block =
-      grid.aqfs.size() * variants.size() * fault_count;
-  const long vth_count = static_cast<long>(grid.v_thresholds.size());
-  const long attack_count = static_cast<long>(grid.attacks.size());
-  const long unit_count = vth_count * attack_count;
-
-  const std::string grid_key =
-      store_ != nullptr ? store_->GridKey(grid) : std::string();
-  std::vector<UnitPlan> plan(static_cast<std::size_t>(unit_count),
-                             UnitPlan::kCompute);
-  std::vector<UnitRecord> replay(static_cast<std::size_t>(unit_count));
-  for (long unit = 0; unit < unit_count; ++unit) {
-    if (options.shard.has_value() && !options.shard->Owns(unit)) {
-      plan[static_cast<std::size_t>(unit)] = UnitPlan::kSkip;
-      continue;
-    }
-    if (!options.resume) continue;
-    UnitRecord record;
-    if (store_->LoadUnit(grid_key, unit, record) &&
-        (record.gated || record.robustness.size() == block)) {
-      plan[static_cast<std::size_t>(unit)] = UnitPlan::kReplay;
-      replay[static_cast<std::size_t>(unit)] = std::move(record);
-    }
-  }
-
-  if (cache_enabled_) {
-    std::vector<long> needed_vths;
-    std::vector<char> vth_needed(static_cast<std::size_t>(vth_count), 0);
-    for (long unit = 0; unit < unit_count; ++unit) {
-      if (plan[static_cast<std::size_t>(unit)] != UnitPlan::kCompute) continue;
-      const long iv = unit / attack_count;
-      if (!vth_needed[static_cast<std::size_t>(iv)]) {
-        vth_needed[static_cast<std::size_t>(iv)] = 1;
-        needed_vths.push_back(iv);
-      }
-    }
-    runtime::ParallelFor(
-        0, static_cast<long>(needed_vths.size()),
-        [&](long i) {
-          (void)TrainCached(grid.v_thresholds[static_cast<std::size_t>(
-              needed_vths[static_cast<std::size_t>(i)])]);
-        },
-        /*grain=*/1);
-  }
-  outcome.stats.train_seconds = SecondsSince(run_start);
-
-  // Phase 2: one unit per (vth, attack); AQF slices evaluate inside the
-  // unit (filter + binning are shared per slice by EvaluateVariants).
-  const auto sweep_start = Clock::now();
-
-  runtime::ParallelFor(
-      0, unit_count,
-      [&](long unit) {
-        if (plan[static_cast<std::size_t>(unit)] == UnitPlan::kSkip) return;
-
-        const std::size_t ia = static_cast<std::size_t>(unit % attack_count);
-        const std::size_t iv = static_cast<std::size_t>(unit / attack_count);
-        const std::size_t base = grid.Index(iv, 0, ia, 0, 0, 0, 0, 0);
-
-        if (plan[static_cast<std::size_t>(unit)] == UnitPlan::kReplay) {
-          ApplyReplay(replay[static_cast<std::size_t>(unit)], base, block,
-                      outcome);
-          replayed_units.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-
-        const float vth = grid.v_thresholds[iv];
-        const AttackSpec& attack = grid.attacks[ia];
-
-        TrainedModel local;
-        const TrainedModel* model = nullptr;
-        if (cache_enabled_) {
-          model = &TrainCached(vth);
-        } else {
-          local = train_fn_(vth);
-          uncached_trainings.fetch_add(1, std::memory_order_relaxed);
-          model = &local;
-        }
-
-        for (std::size_t i = 0; i < block; ++i)
-          outcome.train_accuracy_pct[base + i] = model->train_accuracy_pct;
-
-        if (grid.min_train_accuracy_pct.has_value() &&
-            model->train_accuracy_pct < *grid.min_train_accuracy_pct) {
-          gated_units.fetch_add(1, std::memory_order_relaxed);
-          if (store_ != nullptr) {
-            UnitRecord record;
-            record.gated = true;
-            record.train_accuracy_pct = model->train_accuracy_pct;
-            store_->SaveUnit(grid_key, unit, record);
-          }
-          return;
-        }
-
-        const data::EventDataset& adversarial = craft_cache_.GetOrCompute(
-            CraftKey(vth, bench_.options().time_bins, attack, /*epsilon=*/0.0),
-            [&] {
-              if (store_ != nullptr) {
-                data::EventDataset from_disk;
-                if (store_->LoadCraft(*model, attack, from_disk)) {
-                  store_craft_hits_.fetch_add(1, std::memory_order_relaxed);
-                  return from_disk;
-                }
-              }
-              data::EventDataset fresh = craft_fn_(*model, attack);
-              computed_crafts_.fetch_add(1, std::memory_order_relaxed);
-              if (store_ != nullptr) store_->SaveCraft(*model, attack, fresh);
-              return fresh;
-            });
-
-        // Same split as the static engine: fault-free units keep the
-        // shared-binning EvaluateVariants call per AQF slice; fault units
-        // corrupt a clone per (variant, fault) pair. AccuracyPct falls
-        // back to the dense path for hooked (activation-fault) clones.
-        const faults::FaultSpec attack_fault = AttackFault(attack);
-        for (std::size_t iq = 0; iq < grid.aqfs.size(); ++iq) {
-          std::vector<float> robustness;
-          if (FaultFreeUnit(grid, attack_fault)) {
-            robustness = bench_.EvaluateVariants(*model, adversarial,
-                                                 grid.aqfs[iq], variants);
-          } else {
-            robustness.assign(variants.size() * fault_count, 0.0f);
-            runtime::ParallelFor(
-                0, static_cast<long>(robustness.size()),
-                [&](long j) {
-                  const std::size_t ifl =
-                      static_cast<std::size_t>(j) % fault_count;
-                  const std::size_t ivr =
-                      static_cast<std::size_t>(j) / fault_count;
-                  const core::VariantSpec& vspec = variants[ivr];
-                  snn::Network ax = bench_.MakeAx(*model, vspec);
-                  bool faulted = false;
-                  if (!attack_fault.is_none()) {
-                    faults::ApplyFault(ax, attack_fault, vspec.precision);
-                    faulted = true;
-                  }
-                  const faults::FaultSpec& axis_fault = grid.faults[ifl];
-                  if (!axis_fault.is_none()) {
-                    faults::ApplyFault(ax, axis_fault, vspec.precision);
-                    faulted = true;
-                  }
-                  if (faulted)
-                    faulted_evals.fetch_add(1, std::memory_order_relaxed);
-                  robustness[static_cast<std::size_t>(j)] = bench_.AccuracyPct(
-                      ax, adversarial, grid.aqfs[iq]);
-                },
-                /*grain=*/1);
-          }
-          const std::size_t slice = base + iq * robustness.size();
-          for (std::size_t i = 0; i < robustness.size(); ++i) {
-            outcome.robustness_pct[slice + i] = robustness[i];
-            outcome.evaluated[slice + i] = 1;
-          }
-        }
-
-        if (store_ != nullptr) {
-          UnitRecord record;
-          record.train_accuracy_pct = model->train_accuracy_pct;
-          record.robustness.assign(
-              outcome.robustness_pct.begin() + static_cast<long>(base),
-              outcome.robustness_pct.begin() + static_cast<long>(base + block));
-          store_->SaveUnit(grid_key, unit, record);
-        }
-      },
-      /*grain=*/1);
-
-  outcome.stats.sweep_seconds = SecondsSince(sweep_start);
-  outcome.stats.wall_seconds = SecondsSince(run_start);
-  outcome.stats.train_cache_hits = model_cache_.hits() - train_hits0;
-  outcome.stats.trained_models =
-      computed_trains_.load(std::memory_order_relaxed) - computed_trains0 +
-      uncached_trainings.load();
-  outcome.stats.craft_cache_hits = craft_cache_.hits() - craft_hits0;
-  outcome.stats.crafted_sets =
-      computed_crafts_.load(std::memory_order_relaxed) - computed_crafts0;
-  outcome.stats.store_model_hits =
-      store_model_hits_.load(std::memory_order_relaxed) - store_model_hits0;
-  outcome.stats.store_craft_hits =
-      store_craft_hits_.load(std::memory_order_relaxed) - store_craft_hits0;
-  outcome.stats.gated_units = gated_units.load();
-  outcome.stats.replayed_units = replayed_units.load();
-  outcome.stats.faulted_evals = faulted_evals.load();
-  outcome.stats.corrupt_entries =
-      store_ != nullptr ? store_->artifacts().corrupt_entries() : 0;
-
-  if (store_ != nullptr) {
-    GridTotals totals = store_->LoadTotals(grid_key);
-    totals.trained_models += outcome.stats.trained_models;
-    totals.crafted_sets += outcome.stats.crafted_sets;
-    store_->SaveTotals(grid_key, totals);
-    outcome.stats.total_trained_models = totals.trained_models;
-    outcome.stats.total_crafted_sets = totals.crafted_sets;
-  } else {
-    outcome.stats.total_trained_models = outcome.stats.trained_models;
-    outcome.stats.total_crafted_sets = outcome.stats.crafted_sets;
-  }
-  return outcome;
-}
+template class ScenarioEngine<StaticWorkload>;
+template class ScenarioEngine<DvsWorkload>;
 
 }  // namespace axsnn::scenario

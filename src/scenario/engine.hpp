@@ -1,23 +1,29 @@
 // Scenario engine: executes a declarative ScenarioGrid on a workbench.
 //
+// One engine serves both workbench families: ScenarioEngine<W> is written
+// once against a workload trait W (workload.hpp) that supplies only what
+// differs — the workbench and model types, the train/craft hooks, T per
+// structural cell and how a crafted set is evaluated. StaticScenarioEngine
+// and DvsScenarioEngine are its two instantiations.
+//
 // The engine turns a grid into work units — one (structural cell, attack,
 // epsilon) triple per unit — and runs them on the global runtime pool with
-// grain 1, exactly like the hand-rolled sweep loops it replaces. Two caches
-// make shared grids cheap:
+// grain 1. Two in-memory cache tables, owned by the engine and persistent
+// across Run calls, make shared grids cheap:
 //
-//   * a trained-model cache (model_cache.hpp) keyed (vth, T, seed): grids —
-//     and successive Run calls on one engine — sharing a structural cell
-//     never retrain it;
-//   * a crafted-dataset cache keyed (structural cell, attack label,
-//     epsilon): successive grids reusing an attack (Table II's operating
-//     points, Algorithm-1 searches over the same cell) never re-craft.
+//   * trained models keyed (vth bits, T, workbench seed): grids sharing a
+//     structural cell never retrain it;
+//   * crafted sets keyed (structural cell, attack label, epsilon): grids
+//     reusing an attack (Table II's operating points, Algorithm-1 searches
+//     over one cell) never re-craft.
 //
-// Both caches promote to a shared on-disk artifact store (store.hpp) via
-// set_store: trained models and crafted sets persist across processes, and
-// every finished work unit journals its result block, so Run(grid, options)
-// supports checkpoint/resume (replay journaled units, compute only the
-// remainder) and shard fan-out (`--shard i/N` unit partitioning; a resume
-// pass with no shard merges all journals in grid order — see shard.hpp).
+// Both tables consult a shared on-disk artifact store (store.hpp) attached
+// via set_store before computing: trained models and crafted sets persist
+// across processes, and every finished work unit journals its result
+// block, so Run(grid, options) supports checkpoint/resume (replay journaled
+// units, compute only the remainder) and shard fan-out (`--shard i/N` unit
+// partitioning; a resume pass with no shard merges all journals in grid
+// order — see shard.hpp).
 //
 // Determinism: training, crafting and evaluation are each deterministic in
 // their seeds, every unit owns its output slots, and nested parallelism is
@@ -28,19 +34,23 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "core/workbench.hpp"
-#include "scenario/model_cache.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/shard.hpp"
+#include "scenario/workload.hpp"
 
 namespace axsnn::scenario {
 
-class StaticScenarioStore;
-class DvsScenarioStore;
+template <typename W>
+class ScenarioStore;
 
 /// Execution counters of one Run call.
 struct ScenarioStats {
@@ -103,18 +113,58 @@ struct ScenarioOutcome {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Static-dataset engine
-// ---------------------------------------------------------------------------
+namespace detail {
 
-class StaticScenarioEngine {
+/// Mutex-guarded map<Key, unique_ptr<Value>> with GetOrCompute semantics:
+/// compute runs outside the lock (concurrent misses on *different* keys
+/// proceed in parallel); a lost same-key race discards the duplicate —
+/// every cached computation here (training, crafting) is deterministic, so
+/// both results are identical. References stay valid for the table's life.
+template <typename Key, typename Value>
+class CacheTable {
  public:
-  using TrainedModel = core::StaticWorkbench::TrainedModel;
-  using TrainFn = std::function<TrainedModel(float vth, long time_steps)>;
-  using CraftFn = std::function<Tensor(
-      const TrainedModel& model, const AttackSpec& attack, float epsilon)>;
+  const Value& GetOrCompute(const Key& key,
+                            const std::function<Value()>& compute) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = values_.find(key);
+      if (it != values_.end()) {
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        return *it->second;
+      }
+    }
+    auto value = std::make_unique<Value>(compute());
+    std::lock_guard<std::mutex> lock(mu_);
+    return *values_.emplace(key, std::move(value)).first->second;
+  }
 
-  explicit StaticScenarioEngine(const core::StaticWorkbench& bench);
+  long hits() const { return hits_.load(std::memory_order_relaxed); }
+  std::size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return values_.size();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::map<Key, std::unique_ptr<Value>> values_;  // node-stable references
+  std::atomic<long> hits_{0};
+};
+
+}  // namespace detail
+
+template <typename W>
+class ScenarioEngine {
+ public:
+  using Bench = typename W::Bench;
+  using TrainedModel = typename W::TrainedModel;
+  using Crafted = typename W::Crafted;
+  using TrainFn = typename W::TrainFn;
+  using CraftFn = typename W::CraftFn;
+  /// Trained-model cache key: (vth bits, T, workbench seed) — exact bits,
+  /// and two workbenches with different seeds never collide.
+  using ModelKey = std::tuple<std::uint32_t, long, std::uint64_t>;
+
+  explicit ScenarioEngine(const Bench& bench);
 
   /// Replaces how structural cells train / attacks craft (default:
   /// bench.Train / registry-dispatched bench.Craft). Harness hook for
@@ -127,42 +177,47 @@ class StaticScenarioEngine {
   /// engine's runs; nullptr detaches). Models and crafted sets then
   /// load-or-compute-and-save through it, and Run journals every finished
   /// work unit for checkpoint/resume and shard merging.
-  void set_store(StaticScenarioStore* store) { store_ = store; }
-
-  /// Disables the in-memory trained-model cache (every unit retrains) —
-  /// the with/without comparison bench_micro_runtime records. On by
-  /// default. The store is not consulted on the uncached path.
-  void set_model_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
+  void set_store(ScenarioStore<W>* store) { store_ = store; }
 
   /// Trains (or fetches) the model of one structural cell through the
   /// cache — the Algorithm-1 serial path shares models with grids this way.
-  /// Consults the attached store before computing.
+  /// Consults the attached store before computing. DVS cells take T from
+  /// the workbench binning (any other T throws std::invalid_argument), so
+  /// the DVS engine also offers TrainCached(vth).
   const TrainedModel& TrainCached(float vth, long time_steps);
+  const TrainedModel& TrainCached(float vth)
+    requires(W::kForEvents)
+  {
+    return TrainCached(vth, *W::TimeOverride(bench_));
+  }
 
   /// Executes the grid. Validates first (throws std::invalid_argument on
   /// unknown attacks/params or axis misuse).
-  ScenarioOutcome Run(const ScenarioGrid& grid);
+  ScenarioOutcome Run(const ScenarioGrid& grid) {
+    return Run(grid, RunOptions{});
+  }
 
   /// Executes the grid with shard/resume options (shard.hpp). `resume`
   /// requires an attached store; units outside `options.shard` stay
   /// unevaluated unless replayed from the journal.
   ScenarioOutcome Run(const ScenarioGrid& grid, const RunOptions& options);
 
-  StaticModelCache& model_cache() { return model_cache_; }
-  const core::StaticWorkbench& bench() const { return bench_; }
-
-  /// Drops cached crafted datasets (models stay; use model_cache().Clear()
-  /// for those).
-  void ClearCraftCache();
+  const detail::CacheTable<ModelKey, TrainedModel>& model_cache() const {
+    return model_cache_;
+  }
+  const Bench& bench() const { return bench_; }
 
  private:
-  const core::StaticWorkbench& bench_;
+  const Crafted& CraftCached(const TrainedModel& model, float vth,
+                             long time_steps, const AttackSpec& attack,
+                             double epsilon);
+
+  const Bench& bench_;
   TrainFn train_fn_;
   CraftFn craft_fn_;
-  bool cache_enabled_ = true;
-  StaticScenarioStore* store_ = nullptr;
-  StaticModelCache model_cache_;
-  detail::CacheTable<std::string, Tensor> craft_cache_;
+  ScenarioStore<W>* store_ = nullptr;
+  detail::CacheTable<ModelKey, TrainedModel> model_cache_;
+  detail::CacheTable<std::string, Crafted> craft_cache_;
   // Engine-cumulative counters (Run reports per-call diffs): fresh
   // train_fn_/craft_fn_ invocations and store deserializations.
   std::atomic<long> computed_trains_{0};
@@ -171,47 +226,10 @@ class StaticScenarioEngine {
   std::atomic<long> store_craft_hits_{0};
 };
 
-// ---------------------------------------------------------------------------
-// Neuromorphic engine
-// ---------------------------------------------------------------------------
+using StaticScenarioEngine = ScenarioEngine<StaticWorkload>;
+using DvsScenarioEngine = ScenarioEngine<DvsWorkload>;
 
-class DvsScenarioEngine {
- public:
-  using TrainedModel = core::DvsWorkbench::TrainedModel;
-  using TrainFn = std::function<TrainedModel(float vth)>;
-  using CraftFn = std::function<data::EventDataset(const TrainedModel& model,
-                                                   const AttackSpec& attack)>;
-
-  explicit DvsScenarioEngine(const core::DvsWorkbench& bench);
-
-  void set_train_fn(TrainFn fn);
-  void set_craft_fn(CraftFn fn);
-  void set_store(DvsScenarioStore* store) { store_ = store; }
-  void set_model_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-
-  const TrainedModel& TrainCached(float vth);
-
-  /// Executes the grid (time_steps / epsilons must be single-entry; every
-  /// cell resolves T to the workbench binning).
-  ScenarioOutcome Run(const ScenarioGrid& grid);
-  ScenarioOutcome Run(const ScenarioGrid& grid, const RunOptions& options);
-
-  DvsModelCache& model_cache() { return model_cache_; }
-  const core::DvsWorkbench& bench() const { return bench_; }
-  void ClearCraftCache();
-
- private:
-  const core::DvsWorkbench& bench_;
-  TrainFn train_fn_;
-  CraftFn craft_fn_;
-  bool cache_enabled_ = true;
-  DvsScenarioStore* store_ = nullptr;
-  DvsModelCache model_cache_;
-  detail::CacheTable<std::string, data::EventDataset> craft_cache_;
-  std::atomic<long> computed_trains_{0};
-  std::atomic<long> computed_crafts_{0};
-  std::atomic<long> store_model_hits_{0};
-  std::atomic<long> store_craft_hits_{0};
-};
+extern template class ScenarioEngine<StaticWorkload>;
+extern template class ScenarioEngine<DvsWorkload>;
 
 }  // namespace axsnn::scenario

@@ -8,7 +8,7 @@
 // order — producing a report byte-identical to the single-process run.
 //
 // This header is intentionally tiny (no store/engine dependencies): the
-// engines take RunOptions, the drivers take ShardRunnerOptions, and both
+// engine takes RunOptions, the drivers take ShardRunnerOptions, and both
 // sides share the strict `i/N` grammar below.
 #pragma once
 
@@ -33,7 +33,7 @@ struct ShardSpec {
 /// anything else — "2/4abc", "0/0", "4/4", "-1/2", "1/2/3", "" all reject.
 std::optional<ShardSpec> ParseShardSpec(const std::string& text);
 
-/// Per-Run execution options for Static/DvsScenarioEngine::Run.
+/// Per-Run execution options for ScenarioEngine::Run.
 struct RunOptions {
   /// When set, only units owned by this shard compute; foreign units stay
   /// unevaluated (NaN robustness) unless replayed via `resume`.

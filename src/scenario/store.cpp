@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "data/event_io.hpp"
 #include "snn/lif_layer.hpp"
 #include "tensor/check.hpp"
 #include "tensor/serialize.hpp"
@@ -153,70 +152,7 @@ void HashEventDataset(Fnv64& h, const data::EventDataset& ds) {
   }
 }
 
-std::uint64_t FingerprintStatic(const core::StaticWorkbench& bench) {
-  Fnv64 h;
-  h.Str("axsnn-static-workbench-v1");
-  const core::StaticWorkbench::Options& o = bench.options();
-  h.I64(o.net.height);
-  h.I64(o.net.width);
-  h.I64(o.net.channels);
-  h.I64(o.net.classes);
-  h.I64(o.net.conv1_channels);
-  h.I64(o.net.conv2_channels);
-  h.I64(o.net.conv3_channels);
-  h.I64(o.net.hidden);
-  HashLif(h, o.net.lif);
-  h.U64(o.net.seed);
-  HashTrainConfig(h, o.train);
-  h.I64(o.train_time_steps_cap);
-  h.I64(o.attack_time_steps_cap);
-  h.I64(o.attack_steps);
-  h.I64(static_cast<long>(o.eval_encoding));
-  h.I64(o.eval_batch);
-  h.F64(o.threshold_gain);
-  h.I64(o.int8_kernels ? 1 : 0);
-  // kernel_mode excluded: bit-identical execution axis by contract.
-  h.U64(o.seed);
-  HashStaticDataset(h, bench.train_set());
-  HashStaticDataset(h, bench.test_set());
-  return h.value();
-}
-
-std::uint64_t FingerprintDvs(const core::DvsWorkbench& bench) {
-  Fnv64 h;
-  h.Str("axsnn-dvs-workbench-v1");
-  const core::DvsWorkbench::Options& o = bench.options();
-  h.I64(o.net.height);
-  h.I64(o.net.width);
-  h.I64(o.net.channels);
-  h.I64(o.net.classes);
-  h.I64(o.net.conv1_channels);
-  h.I64(o.net.conv2_channels);
-  h.I64(o.net.hidden);
-  h.F32(o.net.dropout_rate);
-  HashLif(h, o.net.lif);
-  h.U64(o.net.seed);
-  HashTrainConfig(h, o.train);
-  h.I64(o.time_bins);
-  h.I64(o.sparse.max_iterations);
-  h.I64(o.sparse.events_per_iteration);
-  h.I64(o.sparse.time_bins);
-  h.I64(o.sparse.min_spacing);
-  h.U64(o.sparse.seed);
-  h.F32(o.frame.period_ms);
-  h.I64(o.frame.border);
-  h.I64(o.frame.both_polarities ? 1 : 0);
-  h.I64(o.eval_batch);
-  h.F64(o.threshold_gain);
-  h.I64(o.int8_kernels ? 1 : 0);
-  // kernel_mode / event_path excluded: bit-identical execution axes.
-  h.U64(o.seed);
-  HashEventDataset(h, bench.train_set());
-  HashEventDataset(h, bench.test_set());
-  return h.value();
-}
-
-/// Digest of (workbench fingerprint, engine family, every grid axis) with
+/// Digest of (workbench fingerprint, workload family, every grid axis) with
 /// exact float/double bit patterns — two grids share a journal only when
 /// every axis value matches to the bit.
 std::uint64_t GridDigest(std::uint64_t fingerprint, const char* family,
@@ -437,16 +373,17 @@ bool ArtifactStore::Get(const std::string& key, std::uint32_t kind,
       throw std::runtime_error("axsnn: unsupported store envelope version");
     if (stored_kind != kind)
       throw std::runtime_error("axsnn: store entry kind mismatch");
-    if (size > (1ull << 40))
-      throw std::runtime_error("axsnn: implausible store payload size");
+    // The payload must fill the rest of the file exactly: a forged size is
+    // rejected here, before a byte is allocated for it.
+    const std::streampos payload_start = is.tellg();
+    is.seekg(0, std::ios::end);
+    if (!is || static_cast<std::uint64_t>(is.tellg() - payload_start) != size)
+      throw std::runtime_error(
+          "axsnn: store payload size disagrees with the entry length");
+    is.seekg(payload_start);
     std::string payload(static_cast<std::size_t>(size), '\0');
-    if (size > 0) {
-      is.read(payload.data(), static_cast<std::streamsize>(size));
-      if (!is)
-        throw std::runtime_error("axsnn: truncated store payload");
-    }
-    if (is.peek() != std::char_traits<char>::eof())
-      throw std::runtime_error("axsnn: trailing bytes after store payload");
+    if (!is.read(payload.data(), static_cast<std::streamsize>(size)))
+      throw std::runtime_error("axsnn: truncated store payload");
     if (FnvOfBytes(payload) != digest)
       throw std::runtime_error("axsnn: store payload checksum mismatch");
     std::istringstream payload_is(payload, std::ios::binary);
@@ -462,189 +399,178 @@ bool ArtifactStore::Get(const std::string& key, std::uint32_t kind,
 }
 
 // ---------------------------------------------------------------------------
-// StaticScenarioStore
+// Workload store hooks
 // ---------------------------------------------------------------------------
 
-StaticScenarioStore::StaticScenarioStore(std::string root,
-                                         const core::StaticWorkbench& bench)
+std::uint64_t StaticWorkload::Fingerprint(const Bench& bench) {
+  Fnv64 h;
+  h.Str("axsnn-static-workbench-v1");
+  const core::StaticWorkbench::Options& o = bench.options();
+  h.I64(o.net.height);
+  h.I64(o.net.width);
+  h.I64(o.net.channels);
+  h.I64(o.net.classes);
+  h.I64(o.net.conv1_channels);
+  h.I64(o.net.conv2_channels);
+  h.I64(o.net.conv3_channels);
+  h.I64(o.net.hidden);
+  HashLif(h, o.net.lif);
+  h.U64(o.net.seed);
+  HashTrainConfig(h, o.train);
+  h.I64(o.train_time_steps_cap);
+  h.I64(o.attack_time_steps_cap);
+  h.I64(o.attack_steps);
+  h.I64(static_cast<long>(o.eval_encoding));
+  h.I64(o.eval_batch);
+  h.F64(o.threshold_gain);
+  h.I64(o.int8_kernels ? 1 : 0);
+  // kernel_mode excluded: bit-identical execution axis by contract.
+  h.U64(o.seed);
+  HashStaticDataset(h, bench.train_set());
+  HashStaticDataset(h, bench.test_set());
+  return h.value();
+}
+
+std::uint64_t DvsWorkload::Fingerprint(const Bench& bench) {
+  Fnv64 h;
+  h.Str("axsnn-dvs-workbench-v1");
+  const core::DvsWorkbench::Options& o = bench.options();
+  h.I64(o.net.height);
+  h.I64(o.net.width);
+  h.I64(o.net.channels);
+  h.I64(o.net.classes);
+  h.I64(o.net.conv1_channels);
+  h.I64(o.net.conv2_channels);
+  h.I64(o.net.hidden);
+  h.F32(o.net.dropout_rate);
+  HashLif(h, o.net.lif);
+  h.U64(o.net.seed);
+  HashTrainConfig(h, o.train);
+  h.I64(o.time_bins);
+  h.I64(o.sparse.max_iterations);
+  h.I64(o.sparse.events_per_iteration);
+  h.I64(o.sparse.time_bins);
+  h.I64(o.sparse.min_spacing);
+  h.U64(o.sparse.seed);
+  h.F32(o.frame.period_ms);
+  h.I64(o.frame.border);
+  h.I64(o.frame.both_polarities ? 1 : 0);
+  h.I64(o.eval_batch);
+  h.F64(o.threshold_gain);
+  h.I64(o.int8_kernels ? 1 : 0);
+  // kernel_mode / event_path excluded: bit-identical execution axes.
+  h.U64(o.seed);
+  HashEventDataset(h, bench.train_set());
+  HashEventDataset(h, bench.test_set());
+  return h.value();
+}
+
+std::string StaticWorkload::EpsilonKey(double epsilon) {
+  return "_e" + Hex(DoubleBits(epsilon));
+}
+
+std::string DvsWorkload::EpsilonKey(double) { return ""; }
+
+// ---------------------------------------------------------------------------
+// ScenarioStore
+// ---------------------------------------------------------------------------
+
+template <typename W>
+ScenarioStore<W>::ScenarioStore(std::string root,
+                                const typename W::Bench& bench)
     : store_(std::move(root)),
       bench_(bench),
-      fingerprint_(FingerprintStatic(bench)) {}
+      fingerprint_(W::Fingerprint(bench)) {}
 
-std::string StaticScenarioStore::ModelKey(float vth, long time_steps) const {
+template <typename W>
+std::string ScenarioStore<W>::ModelKey(float vth, long time_steps) const {
   std::ostringstream os;
   os << "m_" << Hex(fingerprint_) << "_v" << Hex(FloatBits(vth)) << "_t"
      << time_steps;
   return os.str();
 }
 
-std::string StaticScenarioStore::CraftKey(float vth, long time_steps,
-                                          const AttackSpec& attack,
-                                          double epsilon) const {
+template <typename W>
+std::string ScenarioStore<W>::CraftKey(float vth, long time_steps,
+                                       const AttackSpec& attack,
+                                       double epsilon) const {
   Fnv64 label;
   label.Str(attack.Label());
-  std::ostringstream os;
-  os << ModelKey(vth, time_steps) << "_a" << Hex(label.value()) << "_e"
-     << Hex(DoubleBits(epsilon));
-  return os.str();
+  return ModelKey(vth, time_steps) + "_a" + Hex(label.value()) +
+         W::EpsilonKey(epsilon);
 }
 
-std::string StaticScenarioStore::GridKey(const ScenarioGrid& grid) const {
-  return "g_" + Hex(GridDigest(fingerprint_, "static", grid));
+template <typename W>
+std::string ScenarioStore<W>::GridKey(const ScenarioGrid& grid) const {
+  return "g_" + Hex(GridDigest(fingerprint_, W::kFamily, grid));
 }
 
-bool StaticScenarioStore::LoadModel(float vth, long time_steps,
-                                    TrainedModel& out) const {
+template <typename W>
+bool ScenarioStore<W>::LoadModel(float vth, long time_steps,
+                                 TrainedModel& out) const {
   return store_.Get(
-      ModelKey(vth, time_steps), kArtifactStaticModel, [&](std::istream& is) {
+      ModelKey(vth, time_steps), W::kModelKind, [&](std::istream& is) {
         const std::map<std::string, Tensor> state = ReadTensorMap(is);
-        snn::StaticNetOptions net_opts = bench_.options().net;
-        net_opts.lif.v_threshold = vth;
-        out.net = snn::BuildStaticNet(net_opts);
+        W::Rebuild(bench_, vth, time_steps, out);
         out.net.LoadStateDict(state);
-        out.v_threshold = vth;
-        out.time_steps = time_steps;
         RestoreModelMeta(state, out);
       });
 }
 
-void StaticScenarioStore::SaveModel(const TrainedModel& model) {
+template <typename W>
+void ScenarioStore<W>::SaveModel(float vth, long time_steps,
+                                 const TrainedModel& model) {
   const std::map<std::string, Tensor> state = ModelState(model);
-  store_.Put(ModelKey(model.v_threshold, model.time_steps),
-             kArtifactStaticModel,
+  store_.Put(ModelKey(vth, time_steps), W::kModelKind,
              [&](std::ostream& os) { WriteTensorMap(os, state); });
 }
 
-bool StaticScenarioStore::LoadCraft(const TrainedModel& model,
-                                    const AttackSpec& attack, double epsilon,
-                                    Tensor& out) const {
-  return store_.Get(
-      CraftKey(model.v_threshold, model.time_steps, attack, epsilon),
-      kArtifactCraftTensor,
-      [&](std::istream& is) { out = ReadTensor(is); });
+template <typename W>
+bool ScenarioStore<W>::LoadCraft(float vth, long time_steps,
+                                 const AttackSpec& attack, double epsilon,
+                                 Crafted& out) const {
+  return store_.Get(CraftKey(vth, time_steps, attack, epsilon), W::kCraftKind,
+                    [&](std::istream& is) { out = W::ReadCraft(is); });
 }
 
-void StaticScenarioStore::SaveCraft(const TrainedModel& model,
-                                    const AttackSpec& attack, double epsilon,
-                                    const Tensor& images) {
-  store_.Put(CraftKey(model.v_threshold, model.time_steps, attack, epsilon),
-             kArtifactCraftTensor,
-             [&](std::ostream& os) { WriteTensor(os, images); });
+template <typename W>
+void ScenarioStore<W>::SaveCraft(float vth, long time_steps,
+                                 const AttackSpec& attack, double epsilon,
+                                 const Crafted& crafted) {
+  store_.Put(CraftKey(vth, time_steps, attack, epsilon), W::kCraftKind,
+             [&](std::ostream& os) { W::WriteCraft(os, crafted); });
 }
 
-bool StaticScenarioStore::LoadUnit(const std::string& grid_key, long unit,
-                                   UnitRecord& out) const {
-  return store_.Get(grid_key + "_u" + std::to_string(unit), kArtifactUnit,
-                    [&](std::istream& is) { ReadUnitPayload(is, out); });
-}
-
-void StaticScenarioStore::SaveUnit(const std::string& grid_key, long unit,
-                                   const UnitRecord& record) {
-  store_.Put(grid_key + "_u" + std::to_string(unit), kArtifactUnit,
-             [&](std::ostream& os) { WriteUnitPayload(os, record); });
-}
-
-GridTotals StaticScenarioStore::LoadTotals(const std::string& grid_key) const {
-  GridTotals totals;
-  store_.Get(grid_key + "_totals", kArtifactTotals,
-             [&](std::istream& is) { totals = ReadTotalsPayload(is); });
-  return totals;
-}
-
-void StaticScenarioStore::SaveTotals(const std::string& grid_key,
-                                     const GridTotals& totals) {
-  store_.Put(grid_key + "_totals", kArtifactTotals,
-             [&](std::ostream& os) { WriteTotalsPayload(os, totals); });
-}
-
-// ---------------------------------------------------------------------------
-// DvsScenarioStore
-// ---------------------------------------------------------------------------
-
-DvsScenarioStore::DvsScenarioStore(std::string root,
-                                   const core::DvsWorkbench& bench)
-    : store_(std::move(root)),
-      bench_(bench),
-      fingerprint_(FingerprintDvs(bench)) {}
-
-std::string DvsScenarioStore::ModelKey(float vth) const {
-  std::ostringstream os;
-  os << "m_" << Hex(fingerprint_) << "_v" << Hex(FloatBits(vth)) << "_t"
-     << bench_.options().time_bins;
-  return os.str();
-}
-
-std::string DvsScenarioStore::CraftKey(float vth,
-                                       const AttackSpec& attack) const {
-  Fnv64 label;
-  label.Str(attack.Label());
-  std::ostringstream os;
-  os << ModelKey(vth) << "_a" << Hex(label.value());
-  return os.str();
-}
-
-std::string DvsScenarioStore::GridKey(const ScenarioGrid& grid) const {
-  return "g_" + Hex(GridDigest(fingerprint_, "dvs", grid));
-}
-
-bool DvsScenarioStore::LoadModel(float vth, TrainedModel& out) const {
-  return store_.Get(ModelKey(vth), kArtifactDvsModel, [&](std::istream& is) {
-    const std::map<std::string, Tensor> state = ReadTensorMap(is);
-    snn::DvsNetOptions net_opts = bench_.options().net;
-    net_opts.lif.v_threshold = vth;
-    net_opts.height = bench_.train_set().height;
-    net_opts.width = bench_.train_set().width;
-    out.net = snn::BuildDvsNet(net_opts);
-    out.net.LoadStateDict(state);
-    out.v_threshold = vth;
-    out.time_bins = bench_.options().time_bins;
-    RestoreModelMeta(state, out);
-  });
-}
-
-void DvsScenarioStore::SaveModel(const TrainedModel& model) {
-  const std::map<std::string, Tensor> state = ModelState(model);
-  store_.Put(ModelKey(model.v_threshold), kArtifactDvsModel,
-             [&](std::ostream& os) { WriteTensorMap(os, state); });
-}
-
-bool DvsScenarioStore::LoadCraft(const TrainedModel& model,
-                                 const AttackSpec& attack,
-                                 data::EventDataset& out) const {
-  return store_.Get(CraftKey(model.v_threshold, attack), kArtifactCraftEvents,
-                    [&](std::istream& is) { out = data::ReadEventDataset(is); });
-}
-
-void DvsScenarioStore::SaveCraft(const TrainedModel& model,
-                                 const AttackSpec& attack,
-                                 const data::EventDataset& streams) {
-  store_.Put(CraftKey(model.v_threshold, attack), kArtifactCraftEvents,
-             [&](std::ostream& os) { data::WriteEventDataset(os, streams); });
-}
-
-bool DvsScenarioStore::LoadUnit(const std::string& grid_key, long unit,
+template <typename W>
+bool ScenarioStore<W>::LoadUnit(const std::string& grid_key, long unit,
                                 UnitRecord& out) const {
   return store_.Get(grid_key + "_u" + std::to_string(unit), kArtifactUnit,
                     [&](std::istream& is) { ReadUnitPayload(is, out); });
 }
 
-void DvsScenarioStore::SaveUnit(const std::string& grid_key, long unit,
+template <typename W>
+void ScenarioStore<W>::SaveUnit(const std::string& grid_key, long unit,
                                 const UnitRecord& record) {
   store_.Put(grid_key + "_u" + std::to_string(unit), kArtifactUnit,
              [&](std::ostream& os) { WriteUnitPayload(os, record); });
 }
 
-GridTotals DvsScenarioStore::LoadTotals(const std::string& grid_key) const {
+template <typename W>
+GridTotals ScenarioStore<W>::LoadTotals(const std::string& grid_key) const {
   GridTotals totals;
   store_.Get(grid_key + "_totals", kArtifactTotals,
              [&](std::istream& is) { totals = ReadTotalsPayload(is); });
   return totals;
 }
 
-void DvsScenarioStore::SaveTotals(const std::string& grid_key,
+template <typename W>
+void ScenarioStore<W>::SaveTotals(const std::string& grid_key,
                                   const GridTotals& totals) {
   store_.Put(grid_key + "_totals", kArtifactTotals,
              [&](std::ostream& os) { WriteTotalsPayload(os, totals); });
 }
+
+template class ScenarioStore<StaticWorkload>;
+template class ScenarioStore<DvsWorkload>;
 
 }  // namespace axsnn::scenario

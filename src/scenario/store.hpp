@@ -1,11 +1,14 @@
 // Content-keyed on-disk artifact store for distributed scenario execution.
 //
-// Promotes the engines' in-memory model/craft caches (model_cache.hpp) to a
+// Backs the engine's in-memory model/craft caches (engine.hpp) with a
 // shared filesystem store, so reruns, resumed runs and shard processes
-// (shard.hpp) reuse each other's work:
+// (shard.hpp) reuse each other's work. One ScenarioStore<W> serves both
+// workloads (workload.hpp); the trait supplies the fingerprint, the grid
+// family, the artifact kinds, the craft (de)serializer and the net rebuild:
 //
 //   * trained models    key = (workbench fingerprint, vth bits, T)
-//   * crafted datasets  key = model key + (attack-label hash, epsilon bits)
+//   * crafted datasets  key = model key + (attack-label hash, epsilon bits;
+//                       DVS crafts have no epsilon and omit it)
 //   * unit journal      key = (grid key, unit index) — one record per
 //                       finished work unit (train accuracy, gate flag, the
 //                       unit's robustness block), enabling checkpoint/resume
@@ -37,22 +40,13 @@
 #include <string>
 #include <vector>
 
-#include "core/workbench.hpp"
 #include "scenario/scenario.hpp"
+#include "scenario/workload.hpp"
 
 namespace axsnn::scenario {
 
-/// Envelope payload kinds. A kind mismatch (a craft key colliding with a
-/// model file, say) reads as corrupt, never as a silently wrong payload.
-inline constexpr std::uint32_t kArtifactStaticModel = 1;
-inline constexpr std::uint32_t kArtifactDvsModel = 2;
-inline constexpr std::uint32_t kArtifactCraftTensor = 3;
-inline constexpr std::uint32_t kArtifactCraftEvents = 4;
-inline constexpr std::uint32_t kArtifactUnit = 5;
-inline constexpr std::uint32_t kArtifactTotals = 6;
-
 /// Generic key -> checksummed-file store. Thread-safe; keys must be
-/// filesystem-safe ([A-Za-z0-9_.-], the typed stores only emit those).
+/// filesystem-safe ([A-Za-z0-9_.-], ScenarioStore only emits those).
 class ArtifactStore {
  public:
   /// Creates `root` (and parents) on demand.
@@ -71,7 +65,9 @@ class ArtifactStore {
   /// Validates the envelope (magic, version, kind, size, checksum) and
   /// deserializes via `read`. Returns false — a miss — when the key is
   /// absent, and also when the entry is truncated, corrupt, of another
-  /// kind, or `read` throws (counted in corrupt_entries()).
+  /// kind, or `read` throws (counted in corrupt_entries()). A payload size
+  /// larger than the bytes left in the file is rejected before anything is
+  /// allocated for it.
   bool Get(const std::string& key, std::uint32_t kind,
            const std::function<void(std::istream&)>& read) const;
 
@@ -106,32 +102,31 @@ struct GridTotals {
   long crafted_sets = 0;
 };
 
-// ---------------------------------------------------------------------------
-// Typed stores
-// ---------------------------------------------------------------------------
-
-/// Store view for StaticWorkbench engines. Borrows the workbench (must
+/// Typed store view for ScenarioEngine<W>. Borrows the workbench (must
 /// outlive the store); the constructor fingerprints its options + datasets.
-class StaticScenarioStore {
+/// `time_steps` is the structural T of the cell (DVS: the binning).
+template <typename W>
+class ScenarioStore {
  public:
-  using TrainedModel = core::StaticWorkbench::TrainedModel;
+  using TrainedModel = typename W::TrainedModel;
+  using Crafted = typename W::Crafted;
 
-  StaticScenarioStore(std::string root, const core::StaticWorkbench& bench);
+  ScenarioStore(std::string root, const typename W::Bench& bench);
 
   std::string ModelKey(float vth, long time_steps) const;
   std::string CraftKey(float vth, long time_steps, const AttackSpec& attack,
                        double epsilon) const;
-  /// Deterministic digest of (fingerprint, every grid axis) — the namespace
-  /// of the unit journal and totals record.
+  /// Deterministic digest of (fingerprint, workload family, every grid
+  /// axis) — the namespace of the unit journal and totals record.
   std::string GridKey(const ScenarioGrid& grid) const;
 
   bool LoadModel(float vth, long time_steps, TrainedModel& out) const;
-  void SaveModel(const TrainedModel& model);
+  void SaveModel(float vth, long time_steps, const TrainedModel& model);
 
-  bool LoadCraft(const TrainedModel& model, const AttackSpec& attack,
-                 double epsilon, Tensor& out) const;
-  void SaveCraft(const TrainedModel& model, const AttackSpec& attack,
-                 double epsilon, const Tensor& images);
+  bool LoadCraft(float vth, long time_steps, const AttackSpec& attack,
+                 double epsilon, Crafted& out) const;
+  void SaveCraft(float vth, long time_steps, const AttackSpec& attack,
+                 double epsilon, const Crafted& crafted);
 
   bool LoadUnit(const std::string& grid_key, long unit,
                 UnitRecord& out) const;
@@ -148,46 +143,14 @@ class StaticScenarioStore {
 
  private:
   ArtifactStore store_;
-  const core::StaticWorkbench& bench_;
+  const typename W::Bench& bench_;
   std::uint64_t fingerprint_ = 0;
 };
 
-/// Store view for DvsWorkbench engines (crafts are event datasets; models
-/// key on the workbench binning T).
-class DvsScenarioStore {
- public:
-  using TrainedModel = core::DvsWorkbench::TrainedModel;
+using StaticScenarioStore = ScenarioStore<StaticWorkload>;
+using DvsScenarioStore = ScenarioStore<DvsWorkload>;
 
-  DvsScenarioStore(std::string root, const core::DvsWorkbench& bench);
-
-  std::string ModelKey(float vth) const;
-  std::string CraftKey(float vth, const AttackSpec& attack) const;
-  std::string GridKey(const ScenarioGrid& grid) const;
-
-  bool LoadModel(float vth, TrainedModel& out) const;
-  void SaveModel(const TrainedModel& model);
-
-  bool LoadCraft(const TrainedModel& model, const AttackSpec& attack,
-                 data::EventDataset& out) const;
-  void SaveCraft(const TrainedModel& model, const AttackSpec& attack,
-                 const data::EventDataset& streams);
-
-  bool LoadUnit(const std::string& grid_key, long unit,
-                UnitRecord& out) const;
-  void SaveUnit(const std::string& grid_key, long unit,
-                const UnitRecord& record);
-
-  GridTotals LoadTotals(const std::string& grid_key) const;
-  void SaveTotals(const std::string& grid_key, const GridTotals& totals);
-
-  ArtifactStore& artifacts() { return store_; }
-  const ArtifactStore& artifacts() const { return store_; }
-  std::uint64_t fingerprint() const { return fingerprint_; }
-
- private:
-  ArtifactStore store_;
-  const core::DvsWorkbench& bench_;
-  std::uint64_t fingerprint_ = 0;
-};
+extern template class ScenarioStore<StaticWorkload>;
+extern template class ScenarioStore<DvsWorkload>;
 
 }  // namespace axsnn::scenario

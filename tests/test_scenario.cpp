@@ -233,22 +233,6 @@ TEST(ScenarioEngine, ModelCacheHitSemantics) {
   EXPECT_EQ(engine.model_cache().size(), 1u);
 }
 
-TEST(ScenarioEngine, CacheOffRetrainsPerUnitWithIdenticalResults) {
-  scenario::StaticScenarioEngine cached(SharedMiniBench());
-  scenario::StaticScenarioEngine uncached(SharedMiniBench());
-  uncached.set_model_cache_enabled(false);
-  const scenario::ScenarioGrid grid = MiniStaticGrid();
-
-  const auto with_cache = cached.Run(grid);
-  const auto without_cache = uncached.Run(grid);
-  EXPECT_EQ(without_cache.stats.trained_models, 2);  // one per work unit
-  ASSERT_EQ(with_cache.robustness_pct.size(),
-            without_cache.robustness_pct.size());
-  for (std::size_t i = 0; i < with_cache.robustness_pct.size(); ++i)
-    EXPECT_EQ(with_cache.robustness_pct[i], without_cache.robustness_pct[i])
-        << "model cache changed cell " << i;
-}
-
 TEST(ScenarioEngine, PoolSizeOneVersusNIsBitIdentical) {
   const scenario::ScenarioGrid grid = MiniStaticGrid();
   std::vector<float> reference;
@@ -390,6 +374,9 @@ TEST(DvsScenario, CornerAndDashRunThroughRegistryOnly) {
 
   // The registry path injects events (string-keyed Craft, const model).
   const auto& model = engine.TrainCached(1.0f);
+  // The binning fixes T: a model-cache entry under any other T is refused.
+  EXPECT_THROW(engine.TrainCached(1.0f, bench.options().time_bins + 1),
+               std::invalid_argument);
   const data::EventDataset corner = bench.Craft(model, "Corner");
   long clean_events = 0;
   long corner_events = 0;

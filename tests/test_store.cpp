@@ -5,7 +5,12 @@
 // fan-out + merge is bit-identical to a single-process run, corrupted
 // entries fall back to recompute, gated units replay from the journal,
 // and two different workbenches can never serve each other artifacts.
+// The kill/resume, corrupt-entry and gated-journal contracts run for both
+// workloads (static and DVS) as typed tests.
+#include <sys/resource.h>
+
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -223,6 +228,35 @@ TEST(ArtifactStore, TruncatedAndGarbageEntriesReadAsCorruptMiss) {
   EXPECT_EQ(store.corrupt_entries(), 2);
 }
 
+/// Peak resident set of this process [MiB] (Linux reports KiB).
+long MaxRssMiB() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss / 1024;
+}
+
+TEST(ArtifactStore, ForgedPayloadSizeReadsAsCorruptMissWithoutAllocating) {
+  ScopedDir dir("forged_size");
+  scenario::ArtifactStore store(dir.path());
+  store.Put("key", scenario::kArtifactCraftTensor,
+            [](std::ostream& os) { WriteTensor(os, Tensor({1}, {7.0f})); });
+  {
+    // Envelope: magic, version, kind, reserved (u32 each), then the u64
+    // payload size at byte 16. Forge it to 2 GiB on a tiny entry.
+    std::fstream f(store.PathFor("key"),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint64_t forged = std::uint64_t{1} << 31;
+    f.seekp(16);
+    f.write(reinterpret_cast<const char*>(&forged), sizeof forged);
+  }
+  const long rss_before = MaxRssMiB();
+  EXPECT_FALSE(store.Get("key", scenario::kArtifactCraftTensor,
+                         [](std::istream&) {}));
+  EXPECT_EQ(store.corrupt_entries(), 1);
+  EXPECT_LT(MaxRssMiB() - rss_before, 256)
+      << "the forged size was allocated before the entry was rejected";
+}
+
 // --- engine + store contracts -----------------------------------------------
 
 core::StaticWorkbench& StoreMiniBench() {
@@ -334,97 +368,6 @@ TEST(ScenarioStore, ShardFanOutPlusMergeIsBitIdentical) {
   }
 }
 
-TEST(ScenarioStore, KilledRunResumesWithoutRecomputingFinishedUnits) {
-  ScopedDir dir("resume");
-  const scenario::ScenarioGrid grid = StoreMiniGrid();
-
-  // "Killed" run: only shard 0/3 finished (unit 0 journaled), the rest of
-  // the grid never ran.
-  {
-    scenario::StaticScenarioStore store(dir.path(), StoreMiniBench());
-    scenario::StaticScenarioEngine engine(StoreMiniBench());
-    engine.set_store(&store);
-    scenario::RunOptions options;
-    options.shard = scenario::ShardSpec{0, 3};
-    (void)engine.Run(grid, options);
-  }
-
-  // Restarted run: replays the finished unit, computes the remaining two,
-  // and matches a never-interrupted run exactly.
-  scenario::StaticScenarioStore store(dir.path(), StoreMiniBench());
-  scenario::StaticScenarioEngine engine(StoreMiniBench());
-  engine.set_store(&store);
-  scenario::RunOptions options;
-  options.resume = true;
-  const auto resumed = engine.Run(grid, options);
-  EXPECT_EQ(resumed.stats.replayed_units, 1);
-  EXPECT_EQ(resumed.stats.trained_models, 0);  // model persisted before kill
-  EXPECT_EQ(resumed.stats.crafted_sets, 2);
-  EXPECT_EQ(resumed.stats.total_trained_models, 1);
-  EXPECT_EQ(resumed.stats.total_crafted_sets, 3);
-
-  scenario::StaticScenarioEngine uninterrupted(StoreMiniBench());
-  const auto reference = uninterrupted.Run(grid);
-  ExpectSameCells(reference, resumed, "kill/resume");
-}
-
-TEST(ScenarioStore, CorruptedModelEntryRecomputesToSameResult) {
-  ScopedDir dir("heal");
-  const scenario::ScenarioGrid grid = StoreMiniGrid();
-
-  scenario::StaticScenarioStore store1(dir.path(), StoreMiniBench());
-  scenario::StaticScenarioEngine cold(StoreMiniBench());
-  cold.set_store(&store1);
-  const auto first = cold.Run(grid);
-
-  // Smash the persisted model.
-  const std::string model_path =
-      store1.artifacts().PathFor(store1.ModelKey(0.25f, 6));
-  ASSERT_TRUE(std::filesystem::exists(model_path));
-  { std::ofstream(model_path, std::ios::trunc) << "garbage"; }
-
-  scenario::StaticScenarioStore store2(dir.path(), StoreMiniBench());
-  scenario::StaticScenarioEngine warm(StoreMiniBench());
-  warm.set_store(&store2);
-  const auto healed = warm.Run(grid);
-  EXPECT_EQ(healed.stats.trained_models, 1);  // recomputed, not crashed
-  EXPECT_EQ(store2.artifacts().corrupt_entries(), 1);
-  EXPECT_EQ(healed.stats.crafted_sets, 0);  // crafts were intact
-  ExpectSameCells(first, healed, "corrupt-entry recompute");
-
-  // The recompute healed the store: a third run is pure reuse again.
-  scenario::StaticScenarioStore store3(dir.path(), StoreMiniBench());
-  scenario::StaticScenarioEngine again(StoreMiniBench());
-  again.set_store(&store3);
-  EXPECT_EQ(again.Run(grid).stats.trained_models, 0);
-}
-
-TEST(ScenarioStore, GatedUnitsJournalAndReplay) {
-  ScopedDir dir("gated");
-  scenario::ScenarioGrid grid = StoreMiniGrid();
-  grid.min_train_accuracy_pct = 101.0f;  // gate everything
-
-  scenario::StaticScenarioStore store1(dir.path(), StoreMiniBench());
-  scenario::StaticScenarioEngine cold(StoreMiniBench());
-  cold.set_store(&store1);
-  const auto first = cold.Run(grid);
-  EXPECT_EQ(first.stats.gated_units, 3);
-
-  scenario::StaticScenarioStore store2(dir.path(), StoreMiniBench());
-  scenario::StaticScenarioEngine resume_engine(StoreMiniBench());
-  resume_engine.set_store(&store2);
-  scenario::RunOptions options;
-  options.resume = true;
-  const auto replayed = resume_engine.Run(grid, options);
-  EXPECT_EQ(replayed.stats.replayed_units, 3);
-  EXPECT_EQ(replayed.stats.trained_models, 0);
-  for (std::size_t i = 0; i < replayed.robustness_pct.size(); ++i) {
-    EXPECT_FALSE(replayed.evaluated[i]);
-    EXPECT_TRUE(std::isnan(replayed.robustness_pct[i]));
-    EXPECT_GT(replayed.train_accuracy_pct[i], 0.0f);  // replayed from journal
-  }
-}
-
 TEST(ScenarioStore, DifferentWorkbenchesNeverShareArtifacts) {
   ScopedDir dir("fingerprint");
   scenario::StaticScenarioStore store_a(dir.path(), StoreMiniBench());
@@ -452,7 +395,7 @@ TEST(ScenarioStore, ResumeWithoutStoreThrows) {
   EXPECT_THROW(engine.Run(StoreMiniGrid(), options), std::invalid_argument);
 }
 
-// --- DVS store --------------------------------------------------------------
+// --- both workloads: kill/resume, corrupt entries, gated units ---------------
 
 core::DvsWorkbench& StoreMiniDvsBench() {
   static core::DvsWorkbench* bench = [] {
@@ -471,6 +414,144 @@ core::DvsWorkbench& StoreMiniDvsBench() {
   }();
   return *bench;
 }
+
+/// One workload of the typed store tests: its engine, store, mini bench and
+/// a three-unit grid whose units share one structural cell.
+struct StaticCase {
+  static constexpr const char* kName = "Static";
+  using Engine = scenario::StaticScenarioEngine;
+  using Store = scenario::StaticScenarioStore;
+  static const core::StaticWorkbench& Bench() { return StoreMiniBench(); }
+  static scenario::ScenarioGrid Grid() { return StoreMiniGrid(); }
+  static std::string ModelKey(const Store& store) {
+    return store.ModelKey(0.25f, 6);
+  }
+};
+
+struct DvsCase {
+  static constexpr const char* kName = "Dvs";
+  using Engine = scenario::DvsScenarioEngine;
+  using Store = scenario::DvsScenarioStore;
+  static const core::DvsWorkbench& Bench() { return StoreMiniDvsBench(); }
+  static scenario::ScenarioGrid Grid() {
+    scenario::ScenarioGrid grid;
+    grid.v_thresholds = {1.0f};
+    grid.attacks = {scenario::AttackSpec{"none", {}},
+                    scenario::AttackSpec{"Sparse", {}},
+                    scenario::AttackSpec{"Frame", {}}};
+    grid.levels = {0.0, 0.1};
+    return grid;
+  }
+  static std::string ModelKey(const Store& store) {
+    return store.ModelKey(1.0f, StoreMiniDvsBench().options().time_bins);
+  }
+};
+
+template <typename Case>
+class WorkloadStore : public ::testing::Test {};
+
+struct WorkloadName {
+  template <typename Case>
+  static std::string GetName(int) {
+    return Case::kName;
+  }
+};
+
+using Workloads = ::testing::Types<StaticCase, DvsCase>;
+TYPED_TEST_SUITE(WorkloadStore, Workloads, WorkloadName);
+
+TYPED_TEST(WorkloadStore, KilledRunResumesWithoutRecomputingFinishedUnits) {
+  ScopedDir dir(std::string("resume_") + TypeParam::kName);
+  const scenario::ScenarioGrid grid = TypeParam::Grid();
+
+  // "Killed" run: only shard 0/3 finished (unit 0 journaled), the rest of
+  // the grid never ran.
+  {
+    typename TypeParam::Store store(dir.path(), TypeParam::Bench());
+    typename TypeParam::Engine engine(TypeParam::Bench());
+    engine.set_store(&store);
+    scenario::RunOptions options;
+    options.shard = scenario::ShardSpec{0, 3};
+    (void)engine.Run(grid, options);
+  }
+
+  // Restarted run: replays the finished unit, computes the remaining two,
+  // and matches a never-interrupted run exactly.
+  typename TypeParam::Store store(dir.path(), TypeParam::Bench());
+  typename TypeParam::Engine engine(TypeParam::Bench());
+  engine.set_store(&store);
+  scenario::RunOptions options;
+  options.resume = true;
+  const auto resumed = engine.Run(grid, options);
+  EXPECT_EQ(resumed.stats.replayed_units, 1);
+  EXPECT_EQ(resumed.stats.trained_models, 0);  // model persisted before kill
+  EXPECT_EQ(resumed.stats.crafted_sets, 2);
+  EXPECT_EQ(resumed.stats.total_trained_models, 1);
+  EXPECT_EQ(resumed.stats.total_crafted_sets, 3);
+
+  typename TypeParam::Engine uninterrupted(TypeParam::Bench());
+  const auto reference = uninterrupted.Run(grid);
+  ExpectSameCells(reference, resumed, "kill/resume");
+}
+
+TYPED_TEST(WorkloadStore, CorruptedModelEntryRecomputesToSameResult) {
+  ScopedDir dir(std::string("heal_") + TypeParam::kName);
+  const scenario::ScenarioGrid grid = TypeParam::Grid();
+
+  typename TypeParam::Store store1(dir.path(), TypeParam::Bench());
+  typename TypeParam::Engine cold(TypeParam::Bench());
+  cold.set_store(&store1);
+  const auto first = cold.Run(grid);
+
+  // Smash the persisted model.
+  const std::string model_path =
+      store1.artifacts().PathFor(TypeParam::ModelKey(store1));
+  ASSERT_TRUE(std::filesystem::exists(model_path));
+  { std::ofstream(model_path, std::ios::trunc) << "garbage"; }
+
+  typename TypeParam::Store store2(dir.path(), TypeParam::Bench());
+  typename TypeParam::Engine warm(TypeParam::Bench());
+  warm.set_store(&store2);
+  const auto healed = warm.Run(grid);
+  EXPECT_EQ(healed.stats.trained_models, 1);  // recomputed, not crashed
+  EXPECT_EQ(store2.artifacts().corrupt_entries(), 1);
+  EXPECT_EQ(healed.stats.crafted_sets, 0);  // crafts were intact
+  ExpectSameCells(first, healed, "corrupt-entry recompute");
+
+  // The recompute healed the store: a third run is pure reuse again.
+  typename TypeParam::Store store3(dir.path(), TypeParam::Bench());
+  typename TypeParam::Engine again(TypeParam::Bench());
+  again.set_store(&store3);
+  EXPECT_EQ(again.Run(grid).stats.trained_models, 0);
+}
+
+TYPED_TEST(WorkloadStore, GatedUnitsJournalAndReplay) {
+  ScopedDir dir(std::string("gated_") + TypeParam::kName);
+  scenario::ScenarioGrid grid = TypeParam::Grid();
+  grid.min_train_accuracy_pct = 101.0f;  // gate everything
+
+  typename TypeParam::Store store1(dir.path(), TypeParam::Bench());
+  typename TypeParam::Engine cold(TypeParam::Bench());
+  cold.set_store(&store1);
+  const auto first = cold.Run(grid);
+  EXPECT_EQ(first.stats.gated_units, 3);
+
+  typename TypeParam::Store store2(dir.path(), TypeParam::Bench());
+  typename TypeParam::Engine resume_engine(TypeParam::Bench());
+  resume_engine.set_store(&store2);
+  scenario::RunOptions options;
+  options.resume = true;
+  const auto replayed = resume_engine.Run(grid, options);
+  EXPECT_EQ(replayed.stats.replayed_units, 3);
+  EXPECT_EQ(replayed.stats.trained_models, 0);
+  for (std::size_t i = 0; i < replayed.robustness_pct.size(); ++i) {
+    EXPECT_FALSE(replayed.evaluated[i]);
+    EXPECT_TRUE(std::isnan(replayed.robustness_pct[i]));
+    EXPECT_GT(replayed.train_accuracy_pct[i], 0.0f);  // replayed from journal
+  }
+}
+
+// --- DVS store --------------------------------------------------------------
 
 TEST(DvsScenarioStore, WarmRerunComputesNothingAndMatches) {
   ScopedDir dir("dvs");
