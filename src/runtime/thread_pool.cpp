@@ -10,8 +10,8 @@ namespace axsnn::runtime {
 
 namespace {
 
-/// Set while the current thread is executing pool work; nested Run calls
-/// observe it and degrade to inline execution.
+/// Set while the current thread is executing pool work; SetGlobalThreads
+/// checks it.
 thread_local bool tls_in_parallel_region = false;
 
 /// RAII guard for tls_in_parallel_region.
@@ -118,8 +118,9 @@ void ThreadPool::WorkerLoop() {
 
 void ThreadPool::Run(long num_tasks, FunctionRef<void(long)> task) {
   if (num_tasks <= 0) return;
-  if (workers_.empty() || tls_in_parallel_region || num_tasks == 1) {
-    // Pool of one, nested submission, or nothing to fan out: run inline.
+  if (workers_.empty() || num_tasks == 1) {
+    // Pool of one or nothing to fan out: run inline. A nested submission
+    // queues below like any other, behind the outer batches.
     RegionGuard region;
     for (long i = 0; i < num_tasks; ++i) task(i);
     return;

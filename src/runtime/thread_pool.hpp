@@ -14,10 +14,13 @@
 //    queued FIFO and drained by the shared workers, each submitter helping
 //    with its own batch. No submitter ever degrades to single-threaded
 //    execution just because another batch is in flight.
-//  * Nested submissions are throttled: a task that itself calls Run (e.g. a
-//    sweep cell whose conv kernels use ParallelFor) executes the nested work
-//    inline on its own thread. This keeps scenario-level fan-out from
-//    oversubscribing the machine and makes re-entrant use deadlock-free.
+//  * Nested submissions queue like any other: a task that itself calls Run
+//    (e.g. a sweep cell whose conv kernels use ParallelFor) links its batch
+//    behind the outer ones, works on it itself, and idle workers help. Outer
+//    batches stay ahead in the FIFO, so unit-level tasks are claimed before
+//    kernel chunks. Re-entrant use is deadlock-free: a thread takes a new
+//    batch only from WorkerLoop, never while it waits in Run, so a waiter
+//    depends only on tasks already running on other threads.
 //  * Determinism contract: Run(n, task) executes task(0..n-1) exactly once
 //    each, on unspecified threads. Callers that need bit-identical results at
 //    any thread count must make task bodies independent (disjoint writes) —
@@ -87,14 +90,13 @@ class ThreadPool {
 
   /// Runs task(i) for every i in [0, num_tasks), blocking until all have
   /// completed. The calling thread participates. The first exception thrown
-  /// by a task is rethrown here after the batch drains. Re-entrant calls
-  /// (from inside a task) execute inline on the current thread. Concurrent
-  /// calls from distinct threads are queued FIFO and share the workers —
-  /// every submitter observes pool parallelism.
+  /// by a task is rethrown here after the batch drains. Calls from distinct
+  /// threads, and re-entrant calls from inside a task, are queued FIFO and
+  /// share the workers — every submitter observes pool parallelism.
   void Run(long num_tasks, FunctionRef<void(long)> task);
 
-  /// True while the current thread is executing a pool task (used to
-  /// throttle nested parallelism).
+  /// True while the current thread is executing a pool task
+  /// (SetGlobalThreads refuses to resize the pool from inside one).
   static bool InParallelRegion();
 
  private:

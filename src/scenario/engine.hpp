@@ -26,11 +26,12 @@
 // order — see shard.hpp).
 //
 // Determinism: training, crafting and evaluation are each deterministic in
-// their seeds, every unit owns its output slots, and nested parallelism is
-// throttled to inline by the pool — so Run results are bit-identical at any
-// pool size, across cache/store hits and misses, and across any shard
-// split. Hooks (set_train_fn / set_craft_fn) let harnesses splice in custom
-// computations without touching the engine.
+// their seeds, every unit owns its output slots, and the layer loops a unit
+// spreads over idle workers keep their fixed chunks and disjoint writes —
+// so Run results are bit-identical at any pool size, across cache/store
+// hits and misses, and across any shard split. Hooks (set_train_fn /
+// set_craft_fn) let harnesses splice in custom computations without
+// touching the engine.
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,6 @@
 // Tests for the runtime subsystem and its determinism contract:
 //  * ThreadPool / ParallelFor execute every index exactly once, propagate
-//    exceptions, and throttle nested parallelism;
+//    exceptions, and spread nested batches over idle workers;
 //  * chunk partitioning and reductions are bit-identical at any pool size;
 //  * full evaluation pipelines (AccuracyStatic / LogitsTemporal) produce
 //    identical results with pools of size 1, 2 and hardware_concurrency;
@@ -13,6 +13,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
+#include <map>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -64,16 +66,72 @@ TEST(ThreadPool, PropagatesTaskExceptions) {
   EXPECT_EQ(count.load(), 8);
 }
 
-TEST(ThreadPool, NestedRunExecutesInline) {
+// A task that calls Run queues its batch behind the outer one; the workers
+// the outer batch leaves idle must pick up its chunks.
+TEST(ThreadPool, NestedRunUsesIdleWorkers) {
   runtime::ThreadPool pool(4);
-  std::atomic<long> inner_total{0};
-  pool.Run(4, [&](long) {
+  constexpr int kOuter = 2;
+  constexpr long kInner = 16;
+
+  std::mutex mutex;
+  std::set<std::thread::id> executors[kOuter];
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  pool.Run(kOuter, [&](long o) {
     EXPECT_TRUE(runtime::ThreadPool::InParallelRegion());
-    // A nested submission must not deadlock and must still do all the work.
-    pool.Run(10, [&](long) { inner_total++; });
+    pool.Run(kInner, [&, o](long i) {
+      // Long enough for the two idle workers to claim shares of both inner
+      // batches before either outer thread finishes its batch alone.
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      hits[static_cast<std::size_t>(o * kInner + i)]++;
+      std::lock_guard<std::mutex> lock(mutex);
+      executors[o].insert(std::this_thread::get_id());
+    });
   });
-  EXPECT_EQ(inner_total.load(), 40);
   EXPECT_FALSE(runtime::ThreadPool::InParallelRegion());
+
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    EXPECT_EQ(hits[i].load(), 1) << i;
+  for (int o = 0; o < kOuter; ++o)
+    EXPECT_GE(executors[o].size(), 2u)
+        << "outer task " << o << "'s inner batch ran single-threaded";
+}
+
+TEST(ThreadPool, DeepNestingCompletesAndPropagatesExceptions) {
+  runtime::ThreadPool pool(4);
+  constexpr long kA = 3, kB = 4, kC = 5;
+
+  std::vector<std::atomic<int>> hits(kA * kB * kC);
+  auto three_levels = [&](bool throw_innermost) {
+    pool.Run(kA, [&](long a) {
+      pool.Run(kB, [&, a](long b) {
+        pool.Run(kC, [&, a, b](long c) {
+          hits[static_cast<std::size_t>((a * kB + b) * kC + c)]++;
+          if (throw_innermost && a == 1 && b == 2 && c == 3)
+            throw std::runtime_error("innermost");
+        });
+      });
+    });
+  };
+
+  three_levels(false);
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    ASSERT_EQ(hits[i].load(), 1) << i;
+
+  // The exception unwinds through every level; the batches it passes
+  // through still drain, so every leaf runs exactly once more.
+  try {
+    three_levels(true);
+    ADD_FAILURE() << "the innermost exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "innermost");
+  }
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    EXPECT_EQ(hits[i].load(), 2) << i;
+
+  // The pool stays usable afterwards.
+  std::atomic<long> count{0};
+  pool.Run(8, [&](long) { count++; });
+  EXPECT_EQ(count.load(), 8);
 }
 
 // --- ThreadPool multi-producer Run ------------------------------------------
@@ -333,6 +391,79 @@ TEST(RuntimeDeterminism, LogitsTemporalIndependentOfPoolSize) {
     EXPECT_TRUE(logits[0].AllClose(logits[i], 0.0f))
         << "pool size " << pool_sizes[i] << " changed the logits";
   }
+}
+
+// Training from inside a pool task spreads its layer loops over the idle
+// workers; the fixed chunking must keep every weight bit of the top-level,
+// single-thread run.
+TEST(RuntimeDeterminism, NestedTrainingMatchesTopLevel) {
+  data::SyntheticMnistOptions sd;
+  sd.count = 32;
+  sd.seed = 13;
+  const data::StaticDataset static_set = data::MakeSyntheticMnist(sd);
+
+  data::DvsGestureOptions dd;
+  dd.count = 8;
+  dd.seed = 5;
+  const data::EventDataset dvs_set = data::MakeSyntheticDvsGesture(dd);
+  constexpr long kBins = 6;
+  const Tensor frames = data::BinDataset(dvs_set, kBins);
+
+  using State = std::map<std::string, Tensor>;
+  auto train_static = [&] {
+    snn::Network net = MakeTinyStaticNet();
+    snn::TrainConfig cfg;
+    cfg.epochs = 1;
+    cfg.batch_size = 16;
+    cfg.time_steps = 4;
+    snn::FitStatic(net, static_set.images, static_set.labels, cfg);
+    return net.StateDict();
+  };
+  auto train_dvs = [&] {
+    snn::DvsNetOptions opts;
+    opts.height = dvs_set.height;
+    opts.width = dvs_set.width;
+    snn::Network net = snn::BuildDvsNet(opts);
+    snn::TrainConfig cfg;
+    cfg.epochs = 1;
+    cfg.batch_size = 4;
+    cfg.time_steps = kBins;
+    snn::FitTemporal(net, frames, dvs_set.labels, cfg);
+    return net.StateDict();
+  };
+
+  runtime::SetGlobalThreads(1);
+  const State static_top = train_static();
+  const State dvs_top = train_dvs();
+
+  // Two outer tasks on a pool of four leave two workers idle for the
+  // nested layer loops.
+  runtime::SetGlobalThreads(4);
+  State static_nested, dvs_nested;
+  runtime::GlobalPool()->Run(2, [&](long i) {
+    if (i == 0)
+      static_nested = train_static();
+    else
+      dvs_nested = train_dvs();
+  });
+  runtime::SetGlobalThreads(0);  // restore default for later tests
+
+  auto expect_bit_identical = [](const State& a, const State& b,
+                                 const char* what) {
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (const auto& [key, tensor] : a) {
+      auto it = b.find(key);
+      ASSERT_NE(it, b.end()) << what << " " << key;
+      ASSERT_EQ(tensor.shape(), it->second.shape()) << what << " " << key;
+      EXPECT_EQ(std::memcmp(tensor.data(), it->second.data(),
+                            sizeof(float) *
+                                static_cast<std::size_t>(tensor.numel())),
+                0)
+          << what << " " << key << " differs after nested training";
+    }
+  };
+  expect_bit_identical(static_top, static_nested, "static");
+  expect_bit_identical(dvs_top, dvs_nested, "dvs");
 }
 
 // --- Clone / StateDict round-trips ------------------------------------------
