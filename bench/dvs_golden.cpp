@@ -1,10 +1,9 @@
 // DVS-golden harness: a miniature Fig.-7b grid whose rendered report is
 // fully deterministic (seeded synthetic gestures, seeded training, no
-// timing lines). CI runs this binary under AXSNN_EVENT_PATH=off and =on
-// and byte-diffs both outputs against bench/golden/fig7b_dvs_mini.golden:
-// the dense reference path and the compressed spike-stream event path must
-// produce the same report to the byte, so neither a temporal-pipeline
-// refactor nor the skip-on-silent fast path can silently change results.
+// timing lines). CI runs this binary at the defaults, with AXSNN_SIMD=off
+// and with AXSNN_THREADS=1, and byte-diffs every output against
+// bench/golden/fig7b_dvs_mini.golden: neither a temporal-pipeline refactor,
+// the kernel tier nor the pool size may change the report by a byte.
 //
 // Regenerating the golden (only after an *intentional* numerical change):
 //   ./bench_dvs_golden > ../bench/golden/fig7b_dvs_mini.golden
@@ -26,8 +25,8 @@ int main() {
                                opts);
   const core::DvsWorkbench::TrainedModel model = workbench.Train(1.0f);
 
-  // No path-identifying output: the whole point is that the dense and event
-  // path renditions of this report are byte-for-byte the same file.
+  // No tier- or pool-identifying output: every rendition of this report
+  // must be byte-for-byte the same file.
   std::cout << "== dvs golden: fig7b mini grid ==\n"
             << "time bins: " << opts.time_bins << ", train accuracy: "
             << eval::FormatValue(model.train_accuracy_pct, 2) << "%\n";

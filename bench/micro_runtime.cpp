@@ -25,13 +25,7 @@
 //     disk) and resumed (journal replay). Asserts the distributed-execution
 //     contract that warm and resumed runs recompute nothing (0 trainings,
 //     0 crafts); a violation fails the process. The resume-vs-cold ratio
-//     is the checkpoint/resume value proposition;
-//  6. event pipeline — DVS end-to-end (events -> binning -> predictions)
-//     wall-clock of the dense [N, T, C, H, W] reference path vs the
-//     compressed spike-stream event path, swept over the silent-timestep
-//     fraction (events time-compressed into the head of the recording), with
-//     the runner's skip-rate counters. The event path's value proposition is
-//     the >= 2x speedup at >= 90% silent steps recorded here.
+//     is the checkpoint/resume value proposition.
 //
 // Prints a human-readable table and emits BENCH_runtime.json next to the
 // working directory so baselines can be recorded in-tree.
@@ -46,20 +40,14 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "data/dvs_gesture.hpp"
-#include "data/event.hpp"
 #include "kernels/cpu_features.hpp"
 #include "kernels/dispatch.hpp"
-#include "kernels/spike_stream.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/thread_pool.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/store.hpp"
 #include "snn/conv2d.hpp"
 #include "snn/dense.hpp"
-#include "snn/event_path.hpp"
-#include "snn/event_runner.hpp"
-#include "snn/inference.hpp"
 #include "snn/models.hpp"
 #include "tensor/random.hpp"
 #include "tensor/tensor.hpp"
@@ -476,102 +464,6 @@ ScenarioDistTimings RunScenarioDist() {
   return t;
 }
 
-/// One silent-fraction sweep point of the DVS end-to-end comparison.
-struct EventPipelinePoint {
-  double silent_fraction_target = 0.0;  // requested fraction of silent steps
-  double silent_fraction_actual = 0.0;  // measured from the packed stream
-  long kernel_calls = 0;                // weight-layer kernels actually run
-  long kernel_calls_skipped = 0;        // silent-step bias fills instead
-  double dense_ms = 0.0;                // events -> BinDataset -> predictions
-  double event_ms = 0.0;                // events -> BinRangePacked -> runner
-  double speedup() const { return dense_ms / event_ms; }
-};
-
-/// DVS end-to-end wall-clock, dense vs event path, at several silent-step
-/// fractions. Silence is induced physically: every event timestamp is
-/// compressed into the first (1 - f) of the recording, so binning yields a
-/// silent tail of ~f*T steps — the regime event cameras actually produce
-/// (bursty motion, long stillness). Both paths compute bit-identical
-/// predictions (pinned by tests/test_event_pipeline.cpp); only wall-clock
-/// differs.
-std::vector<EventPipelinePoint> RunEventPipeline(int repeats_arg) {
-  const long kBins = 64;
-  const long kBatch = 8;
-  const int reps = std::max(2, repeats_arg / 10);  // whole-dataset passes
-
-  data::DvsGestureOptions dopts;
-  dopts.count = 16;
-  dopts.width = 16;
-  dopts.height = 16;
-  dopts.seed = 909;
-  const data::EventDataset base = data::MakeSyntheticDvsGesture(dopts);
-
-  snn::DvsNetOptions nopts;
-  nopts.height = 16;
-  nopts.width = 16;
-  snn::Network net = snn::BuildDvsNet(nopts);
-
-  std::vector<EventPipelinePoint> points;
-  for (double f : {0.0, 0.5, 0.9, 0.99}) {
-    data::EventDataset ds = base;
-    const float keep = static_cast<float>(1.0 - f);
-    for (data::EventStream& s : ds.streams)
-      for (data::Event& e : s.events) e.t *= keep;
-
-    EventPipelinePoint p;
-    p.silent_fraction_target = f;
-
-    {  // dense reference: bin the whole dataset, predict over frames
-      snn::ScopedEventPathMode scoped(snn::EventPathMode::kDense);
-      Tensor frames = data::BinDataset(ds, kBins);  // warm-up pass
-      snn::PredictTemporal(net, frames, kBatch);
-      const auto start = Clock::now();
-      for (int r = 0; r < reps; ++r) {
-        Tensor pass_frames = data::BinDataset(ds, kBins);
-        snn::PredictTemporal(net, pass_frames, kBatch);
-      }
-      p.dense_ms = SecondsSince(start) / reps * 1e3;
-    }
-
-    {  // event path: stream one packed batch at a time through the runner
-      kernels::SpikeStream stream;
-      snn::EventRunner runner(net);
-      std::vector<int> preds;
-      const auto one_pass = [&](bool record) {
-        preds.clear();
-        long silent = 0;
-        for (long start = 0; start < ds.size(); start += kBatch) {
-          const long count = std::min(kBatch, ds.size() - start);
-          data::BinRangePacked(ds, start, start + count, kBins, stream);
-          const Tensor& logits = runner.Run(stream);
-          const long k = logits.dim(1);
-          for (long i = 0; i < count; ++i) {
-            const float* row = logits.data() + i * k;
-            preds.push_back(
-                static_cast<int>(std::max_element(row, row + k) - row));
-          }
-          if (record) {
-            silent += runner.stats().silent_steps;
-            p.kernel_calls += runner.stats().kernel_calls;
-            p.kernel_calls_skipped += runner.stats().kernel_calls_skipped;
-          }
-        }
-        if (record) {
-          const long batches = (ds.size() + kBatch - 1) / kBatch;
-          p.silent_fraction_actual =
-              static_cast<double>(silent) / static_cast<double>(kBins * batches);
-        }
-      };
-      one_pass(/*record=*/true);  // warm-up + counter capture
-      const auto start = Clock::now();
-      for (int r = 0; r < reps; ++r) one_pass(/*record=*/false);
-      p.event_ms = SecondsSince(start) / reps * 1e3;
-    }
-    points.push_back(p);
-  }
-  return points;
-}
-
 }  // namespace
 }  // namespace axsnn
 
@@ -692,17 +584,6 @@ int main(int argc, char** argv) {
   std::printf("  assert warm+resume recompute nothing : %s\n",
               dist.zero_work_ok() ? "PASS" : "FAIL");
 
-  const auto event_pipeline = axsnn::RunEventPipeline(repeats);
-  std::printf("\nevent pipeline, DVS end-to-end (16 streams, 64 bins, "
-              "2x16x16; ms/dataset pass):\n");
-  std::printf("  silent%%  actual%%   dense      event     speedup   "
-              "kernels run/skipped\n");
-  for (const auto& p : event_pipeline)
-    std::printf("  %6.0f   %6.1f   %8.3f   %8.3f   %6.2fx   %ld/%ld\n",
-                p.silent_fraction_target * 100.0,
-                p.silent_fraction_actual * 100.0, p.dense_ms, p.event_ms,
-                p.speedup(), p.kernel_calls, p.kernel_calls_skipped);
-
   if (FILE* f = std::fopen("BENCH_runtime.json", "w")) {
     std::fprintf(f, "{\n  \"workload\": \"static_net_forward[8,16,1,16,16]\",\n");
     std::fprintf(f, "  \"repeats\": %d,\n", repeats);
@@ -795,27 +676,6 @@ int main(int argc, char** argv) {
                  dist.resume_replayed);
     std::fprintf(f, "    \"warm_and_resume_recompute_nothing\": %s\n",
                  dist.zero_work_ok() ? "true" : "false");
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"event_pipeline\": {\n");
-    std::fprintf(f, "    \"workload\": \"dvs_end_to_end[N=16,T=64,2x16x16]\",\n");
-    std::fprintf(f, "    \"points\": [\n");
-    double speedup_at_90 = 0.0;
-    for (std::size_t i = 0; i < event_pipeline.size(); ++i) {
-      const auto& p = event_pipeline[i];
-      if (p.silent_fraction_target >= 0.9 && speedup_at_90 == 0.0)
-        speedup_at_90 = p.speedup();
-      std::fprintf(f,
-                   "      {\"silent_fraction\": %.2f, "
-                   "\"silent_fraction_actual\": %.4f, \"dense_ms\": %.4f, "
-                   "\"event_ms\": %.4f, \"speedup\": %.3f, "
-                   "\"kernel_calls\": %ld, \"kernel_calls_skipped\": %ld}%s\n",
-                   p.silent_fraction_target, p.silent_fraction_actual,
-                   p.dense_ms, p.event_ms, p.speedup(), p.kernel_calls,
-                   p.kernel_calls_skipped,
-                   i + 1 < event_pipeline.size() ? "," : "");
-    }
-    std::fprintf(f, "    ],\n");
-    std::fprintf(f, "    \"speedup_at_90pct_silent\": %.3f\n", speedup_at_90);
     std::fprintf(f, "  }\n}\n");
     std::fclose(f);
     std::printf("\nwrote BENCH_runtime.json\n");

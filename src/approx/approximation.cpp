@@ -90,9 +90,6 @@ ApproxReport ApplyApproximation(snn::Network& net, const ApproxConfig& cfg,
   long pruned_total = 0;
   long conn_total = 0;
 
-  // Temporal-path knob: like kernel_mode, a pure performance preference.
-  net.set_event_path(cfg.event_path);
-
   for (WeightLayerRef& ref : CollectWeightLayers(net)) {
     // Kernel-path knob: applies to fp32 and int8 execution alike.
     if (ref.conv != nullptr) ref.conv->set_kernel_mode(cfg.kernel_mode);

@@ -79,12 +79,6 @@ struct ApproxConfig {
   /// Every path is bit-identical — this is a performance/debugging knob,
   /// never an accuracy one. A non-auto AXSNN_KERNEL_MODE overrides it.
   kernels::KernelMode kernel_mode = kernels::KernelMode::kAuto;
-  /// Temporal-execution knob applied to the variant's Network: dense frame
-  /// tensors vs the compressed spike-stream event path (skip-on-silent,
-  /// packed gather). Bit-identical inference either way — a performance
-  /// knob like kernel_mode, with the same precedence: a non-auto
-  /// AXSNN_EVENT_PATH overrides it; kAuto resolves to dense.
-  snn::EventPathMode event_path = snn::EventPathMode::kAuto;
 };
 
 /// Per weight-layer outcome of the approximation pass.

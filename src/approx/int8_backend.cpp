@@ -77,8 +77,7 @@ float Int8QuantizeInto(const Tensor& x, std::int32_t* qd) {
 
 void Int8Conv2dForward(const QuantizedTensor& weight, const Tensor& bias,
                        const Tensor& x, Tensor& out, const Conv2dGeom& geom,
-                       kernels::KernelMode mode, runtime::Workspace& scratch,
-                       const kernels::PackedWords* packed) {
+                       kernels::KernelMode mode, runtime::Workspace& scratch) {
   const std::size_t r = x.rank();
   AXSNN_CHECK(r >= 3, "Int8Conv2dForward expects [*, C, H, W]");
   const long c_in = x.dim(r - 3);
@@ -94,13 +93,12 @@ void Int8Conv2dForward(const QuantizedTensor& weight, const Tensor& bias,
                                   static_cast<std::size_t>(x.numel()));
   const float act_scale = Int8QuantizeActivations(x, qact);
   kernels::Int8Conv2dForward(weight, bias, qact.data(), act_scale, n, h, w,
-                             out, geom, mode, scratch, packed);
+                             out, geom, mode, scratch);
 }
 
 void Int8DenseForward(const QuantizedTensor& weight, const Tensor& bias,
                       const Tensor& x, Tensor& out, kernels::KernelMode mode,
-                      runtime::Workspace& scratch,
-                      const kernels::PackedWords* packed) {
+                      runtime::Workspace& scratch) {
   const long f_in = weight.row_size();
   AXSNN_CHECK(x.numel() % f_in == 0, "Int8DenseForward feature mismatch");
   const long n = x.numel() / f_in;
@@ -109,7 +107,7 @@ void Int8DenseForward(const QuantizedTensor& weight, const Tensor& bias,
                                  static_cast<std::size_t>(x.numel()));
   const float act_scale = Int8QuantizeActivations(x, qact);
   kernels::Int8DenseForward(weight, bias, qact.data(), act_scale, n, out,
-                            mode, scratch, packed);
+                            mode, scratch);
 }
 
 }  // namespace axsnn::approx

@@ -78,20 +78,15 @@ using Conv2dGeom = kernels::Conv2dGeom;
 /// already be sized to the output shape. `mode` picks the kernel flavour
 /// (kAuto probes spike density); `scratch` owns the activation-code,
 /// accumulator and packing buffers (grown on demand, allocation-free in
-/// steady state). `packed` optionally forwards pre-built spike words of the
-/// *float* activations to the kernel dispatcher (kernels::PackedWords) —
-/// valid because on the binary activations the event path carries, the
-/// float and quantized-code nonzero masks coincide.
+/// steady state).
 void Int8Conv2dForward(const QuantizedTensor& weight, const Tensor& bias,
                        const Tensor& x, Tensor& out, const Conv2dGeom& geom,
-                       kernels::KernelMode mode, runtime::Workspace& scratch,
-                       const kernels::PackedWords* packed = nullptr);
+                       kernels::KernelMode mode, runtime::Workspace& scratch);
 
 /// Integer-accumulating dense forward pass over [*, F_in]. Same contract as
 /// Int8Conv2dForward; `weight` is int8 [F_out, F_in] with per-F_out scales.
 void Int8DenseForward(const QuantizedTensor& weight, const Tensor& bias,
                       const Tensor& x, Tensor& out, kernels::KernelMode mode,
-                      runtime::Workspace& scratch,
-                      const kernels::PackedWords* packed = nullptr);
+                      runtime::Workspace& scratch);
 
 }  // namespace axsnn::approx

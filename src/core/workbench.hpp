@@ -169,12 +169,6 @@ class DvsWorkbench {
     /// Kernel implementation for derived variants (see
     /// StaticWorkbench::Options::kernel_mode).
     kernels::KernelMode kernel_mode = kernels::KernelMode::kAuto;
-    /// Temporal execution path for derived variants and evaluation: dense
-    /// [T, B, ...] frame tensors vs the compressed spike-stream event path
-    /// (streaming per-chunk binning, skip-on-silent timesteps). Predictions
-    /// are bit-identical either way; AXSNN_EVENT_PATH overrides, kAuto
-    /// resolves to dense — the same precedence scheme as kernel_mode.
-    snn::EventPathMode event_path = snn::EventPathMode::kAuto;
     std::uint64_t seed = 17;
   };
 

@@ -1,7 +1,6 @@
 #include "data/event.hpp"
 
 #include <algorithm>
-#include <cstdint>
 
 #include "runtime/parallel_for.hpp"
 #include "tensor/check.hpp"
@@ -12,8 +11,8 @@ namespace {
 
 /// Maps an event to its (time bin, offset within the [2, H, W] sample
 /// plane). Returns false for events the binning ignores — off-sensor or
-/// outside [0, duration_ms) — so dense and packed binning share one rule
-/// and stay tolerant of attacked streams that push events out of range.
+/// outside [0, duration_ms) — which keeps the binning tolerant of attacked
+/// streams that push events out of range.
 inline bool BinIndex(const Event& e, long width, long height,
                      float duration_ms, float bin_ms, long time_bins,
                      long& bin, long& offset) {
@@ -32,18 +31,17 @@ void CheckBinArgs(const EventStream& stream, long time_bins) {
   AXSNN_CHECK(stream.duration_ms > 0.0f, "stream duration must be positive");
 }
 
-/// Sets sample `s` of `out` to the packed bits of `stream`'s binning.
-/// `out` must already be configured (zero-filled) with {2, H, W} planes.
-void BinStreamIntoSample(const EventStream& stream, long time_bins,
-                         kernels::SpikeStream& out, long s) {
+/// Sets the occupied cells of `frames` ([T, 2, H, W] in the stream's own
+/// geometry, zero-filled by the caller) to 1.0f.
+void BinStreamInto(const EventStream& stream, long time_bins, float* frames) {
+  const long plane = 2 * stream.height * stream.width;
   const float bin_ms = stream.duration_ms / static_cast<float>(time_bins);
   for (const Event& e : stream.events) {
     long bin = 0, offset = 0;
     if (!BinIndex(e, stream.width, stream.height, stream.duration_ms, bin_ms,
                   time_bins, bin, offset))
       continue;
-    out.SampleWords(bin, s)[offset >> 6] |=
-        std::uint64_t{1} << (offset & 63);
+    frames[bin * plane + offset] = 1.0f;
   }
 }
 
@@ -52,60 +50,31 @@ void BinStreamIntoSample(const EventStream& stream, long time_bins,
 Tensor BinEvents(const EventStream& stream, long time_bins) {
   CheckBinArgs(stream, time_bins);
   Tensor frames({time_bins, 2, stream.height, stream.width});
-  const long plane = 2 * stream.height * stream.width;
-  const float bin_ms = stream.duration_ms / static_cast<float>(time_bins);
-  float* fd = frames.data();
-  for (const Event& e : stream.events) {
-    long bin = 0, offset = 0;
-    if (!BinIndex(e, stream.width, stream.height, stream.duration_ms, bin_ms,
-                  time_bins, bin, offset))
-      continue;
-    fd[bin * plane + offset] = 1.0f;
-  }
+  BinStreamInto(stream, time_bins, frames.data());
   return frames;
 }
 
 Tensor BinDataset(const EventDataset& dataset, long time_bins) {
   AXSNN_CHECK(!dataset.streams.empty(), "empty event dataset");
+  // Every stream is binned straight into its row of `out`, so each must
+  // have exactly the dataset's geometry, checked before any row is
+  // written: a smaller or larger stream would run past its row.
+  for (const EventStream& stream : dataset.streams) {
+    CheckBinArgs(stream, time_bins);
+    AXSNN_CHECK(stream.width == dataset.width &&
+                    stream.height == dataset.height,
+                "stream geometry " << stream.width << "x" << stream.height
+                                   << " differs from the dataset's "
+                                   << dataset.width << "x" << dataset.height);
+  }
   const long n = dataset.size();
   Tensor out({n, time_bins, 2, dataset.height, dataset.width});
   const long per_sample = out.numel() / n;
   runtime::ParallelFor(0, n, [&](long i) {
-    Tensor frames = BinEvents(dataset.streams[static_cast<std::size_t>(i)],
-                              time_bins);
-    std::copy(frames.data(), frames.data() + per_sample,
-              out.data() + i * per_sample);
+    BinStreamInto(dataset.streams[static_cast<std::size_t>(i)], time_bins,
+                  out.data() + i * per_sample);
   });
   return out;
-}
-
-void BinEventsPacked(const EventStream& stream, long time_bins,
-                     kernels::SpikeStream& out) {
-  CheckBinArgs(stream, time_bins);
-  out.Configure(time_bins, 1, {2, stream.height, stream.width});
-  BinStreamIntoSample(stream, time_bins, out, 0);
-  out.FinalizeCounts();
-}
-
-void BinRangePacked(const EventDataset& dataset, long lo, long hi,
-                    long time_bins, kernels::SpikeStream& out) {
-  AXSNN_CHECK(time_bins > 0, "time_bins must be positive");
-  AXSNN_CHECK(lo >= 0 && lo < hi && hi <= dataset.size(),
-              "BinRangePacked: bad stream range [" << lo << ", " << hi
-                                                   << ") of "
-                                                   << dataset.size());
-  AXSNN_CHECK(dataset.width > 0 && dataset.height > 0,
-              "dataset has no sensor geometry");
-  // Validate serially first: AXSNN_CHECK throws, and throwing from inside
-  // a worker lambda must not happen.
-  for (long s = lo; s < hi; ++s)
-    CheckBinArgs(dataset.streams[static_cast<std::size_t>(s)], time_bins);
-  out.Configure(time_bins, hi - lo, {2, dataset.height, dataset.width});
-  runtime::ParallelFor(0, hi - lo, [&](long s) {
-    BinStreamIntoSample(dataset.streams[static_cast<std::size_t>(lo + s)],
-                        time_bins, out, s);
-  });
-  out.FinalizeCounts();
 }
 
 }  // namespace axsnn::data

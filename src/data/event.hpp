@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "kernels/spike_stream.hpp"
 #include "tensor/tensor.hpp"
 
 namespace axsnn::data {
@@ -53,23 +52,10 @@ struct EventDataset {
 /// streams that push events out of range).
 Tensor BinEvents(const EventStream& stream, long time_bins);
 
-/// Bins a whole dataset into [N, T, 2, H, W] frames.
+/// Bins a whole dataset into [N, T, 2, H, W] frames. Throws
+/// std::invalid_argument when the dataset is empty, when a stream fails
+/// BinEvents' checks, or when a stream's width or height differs from the
+/// dataset's.
 Tensor BinDataset(const EventDataset& dataset, long time_bins);
-
-/// Streaming ingestion for the event path: bins one stream straight into a
-/// compressed spike stream (batch 1, sample shape {2, H, W}), setting
-/// exactly the bits BinEvents would set to 1.0f — same bin rule, same
-/// tolerance for out-of-range events. Never builds the dense [T, 2, H, W]
-/// tensor.
-void BinEventsPacked(const EventStream& stream, long time_bins,
-                     kernels::SpikeStream& out);
-
-/// Bins dataset streams [lo, hi) into a compressed spike stream whose
-/// sample s corresponds to dataset stream lo + s. Chunk-at-a-time: callers
-/// walk a large dataset one evaluation batch per call, so no [N, T, ...]
-/// dense buffer ever exists. Bit-for-bit the packed form of the matching
-/// BinDataset rows.
-void BinRangePacked(const EventDataset& dataset, long lo, long hi,
-                    long time_bins, kernels::SpikeStream& out);
 
 }  // namespace axsnn::data

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace axsnn::data {
 
@@ -67,6 +68,19 @@ class Reader {
   std::int64_t read_ = 0;
 };
 
+/// Rejects a sensor geometry outside (0, kMaxSensorDim]; `what` names the
+/// record ("sensor", "dataset").
+void CheckGeometry(const Reader& r, std::int64_t record_offset,
+                   const char* what, long width, long height) {
+  if (width <= 0 || width > kMaxSensorDim || height <= 0 ||
+      height > kMaxSensorDim) {
+    std::ostringstream d;
+    d << what << " geometry " << width << "x" << height << " outside (0, "
+      << kMaxSensorDim << "]";
+    r.Fail(record_offset, d.str());
+  }
+}
+
 EventStream ReadEventStreamTracked(Reader& r) {
   const std::int64_t header_off = r.offset();
   if (r.Read<std::uint32_t>("stream magic") != kStreamMagic)
@@ -77,13 +91,7 @@ EventStream ReadEventStreamTracked(Reader& r) {
   s.width = static_cast<long>(r.Read<std::int64_t>("sensor width"));
   s.height = static_cast<long>(r.Read<std::int64_t>("sensor height"));
   s.duration_ms = r.Read<float>("stream duration");
-  if (s.width <= 0 || s.width > kMaxSensorDim || s.height <= 0 ||
-      s.height > kMaxSensorDim) {
-    std::ostringstream d;
-    d << "sensor geometry " << s.width << "x" << s.height
-      << " outside (0, " << kMaxSensorDim << "]";
-    r.Fail(header_off, d.str());
-  }
+  CheckGeometry(r, header_off, "sensor", s.width, s.height);
   if (!(s.duration_ms > 0.0f) || !std::isfinite(s.duration_ms)) {
     std::ostringstream d;
     d << "stream duration " << s.duration_ms << " not positive and finite";
@@ -164,8 +172,10 @@ EventDataset ReadEventDataset(std::istream& is) {
   if (r.Read<std::uint32_t>("dataset version") != kVersion)
     throw std::runtime_error("axsnn: unsupported event-dataset version");
   EventDataset ds;
+  const std::int64_t geometry_off = r.offset();
   ds.width = static_cast<long>(r.Read<std::int64_t>("dataset width"));
   ds.height = static_cast<long>(r.Read<std::int64_t>("dataset height"));
+  CheckGeometry(r, geometry_off, "dataset", ds.width, ds.height);
   ds.duration_ms = r.Read<float>("dataset duration");
   ds.num_classes = r.Read<std::int32_t>("class count");
   if (ds.num_classes <= 0)
@@ -182,8 +192,16 @@ EventDataset ReadEventDataset(std::istream& is) {
         << ds.num_classes << ")";
       r.Fail(label_off, d.str());
     }
+    const std::int64_t stream_off = r.offset();
+    EventStream s = ReadEventStreamTracked(r);
+    if (s.width != ds.width || s.height != ds.height) {
+      std::ostringstream d;
+      d << "stream " << i << " geometry " << s.width << "x" << s.height
+        << " differs from the dataset's " << ds.width << "x" << ds.height;
+      r.Fail(stream_off, d.str());
+    }
     ds.labels.push_back(static_cast<int>(label));
-    ds.streams.push_back(ReadEventStreamTracked(r));
+    ds.streams.push_back(std::move(s));
   }
   return ds;
 }

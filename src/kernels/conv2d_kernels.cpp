@@ -637,7 +637,7 @@ void Conv2dBackwardSimd(const float* xd, const float* wd, const float* gd,
 
 void Conv2dForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
                    Tensor& out, const Conv2dGeom& geom, KernelMode mode,
-                   runtime::Workspace& scratch, const PackedWords* packed) {
+                   runtime::Workspace& scratch) {
   AXSNN_CHECK(x.rank() >= 3, "Conv2dForward expects [*, C, H, W]");
   const Dims d = MakeDims(x.numel(), x.shape(), geom);
   AXSNN_CHECK(weight.numel() == d.c_out * d.w_per_out,
@@ -655,16 +655,11 @@ void Conv2dForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
   if (mode == KernelMode::kAuto || mode == KernelMode::kSparse) {
     // Spike words serve the density probe (popcount — the exact same count
     // as the old elementwise probe) and, below, the sparse gather.
-    long nonzero;
-    if (packed != nullptr) {
-      words_d = packed->words;
-      nonzero = packed->nonzero;
-    } else {
-      auto& words = scratch.AcquireU64(slots::kWords,
-                                       static_cast<std::size_t>(d.n * wps));
-      nonzero = ParallelPackSpikeWords(xd, d.n, d.x_sample, words.data());
-      words_d = words.data();
-    }
+    auto& words = scratch.AcquireU64(slots::kWords,
+                                     static_cast<std::size_t>(d.n * wps));
+    const long nonzero =
+        ParallelPackSpikeWords(xd, d.n, d.x_sample, words.data());
+    words_d = words.data();
     mode = ChooseByDensity(mode,
                            static_cast<float>(nonzero) /
                                static_cast<float>(x.numel()),
@@ -800,8 +795,7 @@ void Conv2dBackward(const Tensor& weight, const Tensor& x,
 void Int8Conv2dForward(const QuantizedTensor& weight, const Tensor& bias,
                        const std::int32_t* qact, float act_scale, long n,
                        long h, long w, Tensor& out, const Conv2dGeom& geom,
-                       KernelMode mode, runtime::Workspace& scratch,
-                       const PackedWords* packed) {
+                       KernelMode mode, runtime::Workspace& scratch) {
   const long x_numel = n * geom.in_channels * h * w;
   const Dims d = MakeDims(n, h, w, geom);
   AXSNN_CHECK(weight.rows() == d.c_out && weight.row_size() == d.w_per_out,
@@ -819,16 +813,11 @@ void Int8Conv2dForward(const QuantizedTensor& weight, const Tensor& bias,
   const long wps = SpikeWordCount(d.x_sample);
   const std::uint64_t* words_d = nullptr;
   if (mode == KernelMode::kAuto || mode == KernelMode::kSparse) {
-    long nonzero;
-    if (packed != nullptr) {
-      words_d = packed->words;
-      nonzero = packed->nonzero;
-    } else {
-      auto& words = scratch.AcquireU64(slots::kWords,
-                                       static_cast<std::size_t>(d.n * wps));
-      nonzero = ParallelPackSpikeWords(qact, d.n, d.x_sample, words.data());
-      words_d = words.data();
-    }
+    auto& words = scratch.AcquireU64(slots::kWords,
+                                     static_cast<std::size_t>(d.n * wps));
+    const long nonzero =
+        ParallelPackSpikeWords(qact, d.n, d.x_sample, words.data());
+    words_d = words.data();
     // ISA probe (dispatch rule 4): with the SIMD tier active the dense
     // fallback is the exact int8 panel microkernel and the sparse
     // crossover drops (32-MAC instructions raise the dense work rate);

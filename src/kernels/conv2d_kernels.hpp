@@ -50,13 +50,10 @@ struct Conv2dGeom {
 /// `weight` is [C_out, C_in, K, K], `bias` [C_out]; `out` must already be
 /// sized. `mode` selects the implementation after the global-override and
 /// density-probe rules of kernels/dispatch.hpp; `scratch` owns the packing
-/// buffers and gather lists (allocation-free in steady state). `packed`
-/// optionally supplies pre-built spike words (one row per sample, row
-/// length C_in * H * W) — see kernels::PackedWords.
+/// buffers and gather lists (allocation-free in steady state).
 void Conv2dForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
                    Tensor& out, const Conv2dGeom& geom, KernelMode mode,
-                   runtime::Workspace& scratch,
-                   const PackedWords* packed = nullptr);
+                   runtime::Workspace& scratch);
 
 /// fp32 convolution backward for Conv2dForward's input `x`: writes the
 /// input gradient into `grad_in` (sized like `x`, overwritten) and adds
@@ -79,7 +76,6 @@ void Conv2dBackward(const Tensor& weight, const Tensor& x,
 void Int8Conv2dForward(const QuantizedTensor& weight, const Tensor& bias,
                        const std::int32_t* qact, float act_scale, long n,
                        long h, long w, Tensor& out, const Conv2dGeom& geom,
-                       KernelMode mode, runtime::Workspace& scratch,
-                       const PackedWords* packed = nullptr);
+                       KernelMode mode, runtime::Workspace& scratch);
 
 }  // namespace axsnn::kernels

@@ -119,8 +119,7 @@ void Int8DenseNaive(const std::int8_t* xd, const std::int8_t* wd,
 // --- fp32 dispatcher ---------------------------------------------------------
 
 void DenseForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
-                  Tensor& out, KernelMode mode, runtime::Workspace& scratch,
-                  const PackedWords* packed) {
+                  Tensor& out, KernelMode mode, runtime::Workspace& scratch) {
   const long f_out = weight.dim(0);
   const long f_in = weight.numel() / f_out;
   AXSNN_CHECK(x.numel() % f_in == 0, "DenseForward feature mismatch");
@@ -136,16 +135,10 @@ void DenseForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
   const long wps = SpikeWordCount(f_in);
   const std::uint64_t* words_d = nullptr;
   if (mode == KernelMode::kAuto || mode == KernelMode::kSparse) {
-    long nonzero;
-    if (packed != nullptr) {
-      words_d = packed->words;
-      nonzero = packed->nonzero;
-    } else {
-      auto& words =
-          scratch.AcquireU64(slots::kWords, static_cast<std::size_t>(n * wps));
-      nonzero = ParallelPackSpikeWords(xd, n, f_in, words.data());
-      words_d = words.data();
-    }
+    auto& words =
+        scratch.AcquireU64(slots::kWords, static_cast<std::size_t>(n * wps));
+    const long nonzero = ParallelPackSpikeWords(xd, n, f_in, words.data());
+    words_d = words.data();
     mode = ChooseByDensity(mode,
                            static_cast<float>(nonzero) /
                                static_cast<float>(x.numel()),
@@ -210,8 +203,7 @@ void DenseForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
 void Int8DenseForward(const QuantizedTensor& weight, const Tensor& bias,
                       const std::int8_t* qact, float act_scale, long n,
                       Tensor& out, KernelMode mode,
-                      runtime::Workspace& scratch,
-                      const PackedWords* packed) {
+                      runtime::Workspace& scratch) {
   const long f_in = weight.row_size();
   const long f_out = weight.rows();
   AXSNN_CHECK(out.numel() == n * f_out, "Int8DenseForward output not sized");
@@ -227,15 +219,10 @@ void Int8DenseForward(const QuantizedTensor& weight, const Tensor& bias,
   const std::uint64_t* words_d = nullptr;
   long nonzero = 0;
   if (mode == KernelMode::kAuto || mode == KernelMode::kSparse) {
-    if (packed != nullptr) {
-      words_d = packed->words;
-      nonzero = packed->nonzero;
-    } else {
-      auto& words =
-          scratch.AcquireU64(slots::kWords, static_cast<std::size_t>(n * wps));
-      nonzero = ParallelPackSpikeWords(qact, n, f_in, words.data());
-      words_d = words.data();
-    }
+    auto& words =
+        scratch.AcquireU64(slots::kWords, static_cast<std::size_t>(n * wps));
+    nonzero = ParallelPackSpikeWords(qact, n, f_in, words.data());
+    words_d = words.data();
     // ISA probe (dispatch rule 4): the 32-MAC SIMD dot products replace
     // naive as the int8 dense fallback when the tier is active, and the
     // sparse crossover drops accordingly. All candidates are bit-identical,

@@ -22,20 +22,16 @@ namespace axsnn::kernels {
 
 /// fp32 dense forward over [*, F_in] -> [*, F_out]. `weight` is
 /// [F_out, F_in], `bias` [F_out]; `out` must already be sized. `scratch`
-/// owns the simd path's transposed packs and the sparse gather lists. `packed`
-/// optionally supplies pre-built spike words (one row per sample, row
-/// length F_in) — see kernels::PackedWords.
+/// owns the simd path's transposed packs and the sparse gather lists.
 void DenseForward(const Tensor& weight, const Tensor& bias, const Tensor& x,
-                  Tensor& out, KernelMode mode, runtime::Workspace& scratch,
-                  const PackedWords* packed = nullptr);
+                  Tensor& out, KernelMode mode, runtime::Workspace& scratch);
 
 /// int8 dense forward. `qact` holds n * F_in activation codes already
 /// quantized by the caller at `act_scale` (typically scratch slot
-/// slots::kQActI8, untouched by the kernels here). `packed` as above.
+/// slots::kQActI8, untouched by the kernels here).
 void Int8DenseForward(const QuantizedTensor& weight, const Tensor& bias,
                       const std::int8_t* qact, float act_scale, long n,
                       Tensor& out, KernelMode mode,
-                      runtime::Workspace& scratch,
-                      const PackedWords* packed = nullptr);
+                      runtime::Workspace& scratch);
 
 }  // namespace axsnn::kernels

@@ -127,24 +127,6 @@ long ParallelPackSpikeWords(const std::int32_t* x, long n_samples,
 long ParallelPackSpikeWords(const std::int8_t* x, long n_samples,
                             long sample_len, std::uint64_t* words);
 
-/// Pre-packed spike words handed to a dispatcher by a caller that already
-/// owns the bit-packed representation (the event-driven temporal path:
-/// SpikeStream step planes and the per-layer spike lanes). `words` holds
-/// n_samples rows of SpikeWordCount(sample_len) words in the spike_words
-/// layout; `nonzero` is their total popcount. When supplied, the
-/// dispatchers skip their own AcquireU64 + ParallelPackSpikeWords pass and
-/// feed these words to both the density decision and the sparse gather —
-/// same counts, same scan order, so dispatch decisions and results are
-/// unchanged; only the re-derivation cost disappears. For the int8
-/// families the caller's words come from the *float* activations; on the
-/// binary (spike) inputs the event path carries, the float and code
-/// nonzero masks coincide, and any extra zero-code gather entries would be
-/// exact int32 no-ops anyway.
-struct PackedWords {
-  const std::uint64_t* words = nullptr;
-  long nonzero = 0;
-};
-
 /// True when dropping or adding a ±0 product term can never change an fp32
 /// accumulation that starts at one of `bias`'s values: every weight is
 /// finite (so w * ±0 is ±0, never NaN) and no bias is −0 (so no

@@ -36,10 +36,4 @@ long PackSpikeWords(const std::int8_t* x, long n, std::uint64_t* words) {
   return PackWords(x, n, words);
 }
 
-long CountSpikeWords(const std::uint64_t* words, long n_words) {
-  long count = 0;
-  for (long w = 0; w < n_words; ++w) count += std::popcount(words[w]);
-  return count;
-}
-
 }  // namespace axsnn::kernels

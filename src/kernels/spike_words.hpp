@@ -8,8 +8,7 @@
 // set bit with ctz, so an all-zero cache line of activations costs one
 // 8-byte compare instead of 64 float tests. Built once per input into the
 // layer's LocalScratch (slot kernels::slots::kWords) and shared by the
-// probe and the gather; the layout (sample-padded word rows) is also the
-// representation the future event-driven DVS pipeline streams end to end.
+// probe and the gather.
 //
 // Packing convention: element i of a row maps to bit (i % 64) of word
 // (i / 64), rows are padded to whole words with zero bits, so iterating
@@ -34,9 +33,6 @@ inline long SpikeWordCount(long n) { return (n + 63) / 64; }
 long PackSpikeWords(const float* x, long n, std::uint64_t* words);
 long PackSpikeWords(const std::int32_t* x, long n, std::uint64_t* words);
 long PackSpikeWords(const std::int8_t* x, long n, std::uint64_t* words);
-
-/// Total set bits in words[0..n_words).
-long CountSpikeWords(const std::uint64_t* words, long n_words);
 
 /// Calls fn(i) for every set bit in words[0..n_words), i the element index
 /// (word * 64 + bit), ascending. The ctz/clear-lowest-bit loop the sparse

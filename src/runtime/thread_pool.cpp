@@ -120,9 +120,19 @@ void ThreadPool::Run(long num_tasks, FunctionRef<void(long)> task) {
   if (num_tasks <= 0) return;
   if (workers_.empty() || num_tasks == 1) {
     // Pool of one or nothing to fan out: run inline. A nested submission
-    // queues below like any other, behind the outer batches.
+    // queues below like any other, behind the outer batches. Same error
+    // contract as the queued branch: every task runs, then the first
+    // exception is rethrown.
     RegionGuard region;
-    for (long i = 0; i < num_tasks; ++i) task(i);
+    std::exception_ptr first_error;
+    for (long i = 0; i < num_tasks; ++i) {
+      try {
+        task(i);
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
     return;
   }
   // The batch lives on this stack frame — dispatch performs no heap

@@ -458,7 +458,7 @@ std::uint64_t DvsWorkload::Fingerprint(const Bench& bench) {
   h.I64(o.eval_batch);
   h.F64(o.threshold_gain);
   h.I64(o.int8_kernels ? 1 : 0);
-  // kernel_mode / event_path excluded: bit-identical execution axes.
+  // kernel_mode excluded: bit-identical execution axis by contract.
   h.U64(o.seed);
   HashEventDataset(h, bench.train_set());
   HashEventDataset(h, bench.test_set());

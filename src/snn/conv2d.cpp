@@ -1,6 +1,5 @@
 #include "snn/conv2d.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "approx/int8_backend.hpp"
@@ -70,71 +69,6 @@ void Conv2d::ForwardInto(const Tensor& x, Tensor& out, bool train) {
   }
   kernels::Conv2dForward(weight_, bias_, x, out, geom, kernel_mode_,
                          *scratch_);
-}
-
-void Conv2d::BeginStepped(long time_steps, long batch) {
-  (void)time_steps;
-  (void)batch;
-  silent_filled_ = false;
-}
-
-void Conv2d::ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) {
-  SizeOutput(x, out);
-  cached_input_ = Tensor();  // stepped runs never feed Backward
-  if (ctx.out != nullptr) ctx.out->Invalidate();  // conv output is dense
-
-  const std::size_t xr = x.rank();
-  const long x_sample = x.dim(xr - 3) * x.dim(xr - 2) * x.dim(xr - 1);
-  // The packed rows are usable by the kernels only when the lane's plane
-  // length equals the per-sample element count (word-row padding must line
-  // up); the silent check only needs the element counts to match.
-  const bool mask_covers =
-      ctx.in.valid() && ctx.in.batch * ctx.in.plane == x.numel();
-  const bool mask_usable = mask_covers && ctx.in.plane == x_sample;
-  if (mask_covers && ctx.in.total == 0) {
-    // Skip-on-silent: on an all-zero input every kernel mode produces the
-    // pure bias planes (the sparse path's zero-gather result, inside the
-    // pinned equivalence contract), so write them directly — and if the
-    // previous step already left them in this buffer, skip even the fill.
-    if (ctx.kernel_calls_skipped != nullptr) ++*ctx.kernel_calls_skipped;
-    if (silent_filled_ && silent_fill_data_ == out.data() &&
-        silent_fill_numel_ == out.numel()) {
-      return;
-    }
-    const std::size_t r = out.rank();
-    const long o_plane = out.dim(r - 2) * out.dim(r - 1);
-    const long n = out.numel() / (out_channels_ * o_plane);
-    const float* bd = bias_.data();
-    float* od = out.data();
-    for (long s = 0; s < n; ++s) {
-      for (long co = 0; co < out_channels_; ++co) {
-        float* op = od + (s * out_channels_ + co) * o_plane;
-        std::fill(op, op + o_plane, bd[co]);
-      }
-    }
-    silent_filled_ = true;
-    silent_fill_data_ = out.data();
-    silent_fill_numel_ = out.numel();
-    return;
-  }
-  silent_filled_ = false;
-  if (ctx.kernel_calls != nullptr) ++*ctx.kernel_calls;
-
-  kernels::PackedWords packed;
-  const kernels::PackedWords* packed_p = nullptr;
-  if (mask_usable) {
-    packed.words = ctx.in.words;
-    packed.nonzero = ctx.in.total;
-    packed_p = &packed;
-  }
-  const kernels::Conv2dGeom geom{in_channels_, out_channels_, kernel_, pad_};
-  if (!qweight_.empty()) {
-    approx::Int8Conv2dForward(qweight_, bias_, x, out, geom, kernel_mode_,
-                              *scratch_, packed_p);
-    return;
-  }
-  kernels::Conv2dForward(weight_, bias_, x, out, geom, kernel_mode_,
-                         *scratch_, packed_p);
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_out) {

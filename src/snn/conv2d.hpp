@@ -37,11 +37,6 @@ class Conv2d final : public Layer {
 
   Shape OutputShape(const Shape& in) const override;
   void ForwardInto(const Tensor& x, Tensor& out, bool train) override;
-  /// Event-path step: skip-on-silent (pure bias planes, cached across
-  /// consecutive silent steps into the same buffer) and packed-word
-  /// pass-through to the kernel dispatcher (kernels::PackedWords).
-  void ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) override;
-  void BeginStepped(long time_steps, long batch) override;
   /// `grad_out` must have exactly OutputShape(input of the last cached
   /// forward); any other shape throws.
   Tensor Backward(const Tensor& grad_out) override;
@@ -101,12 +96,6 @@ class Conv2d final : public Layer {
   QuantizedTensor qweight_;  // int8 backend weights (empty = off)
   kernels::KernelMode kernel_mode_ = kernels::KernelMode::kAuto;
   runtime::LocalScratch scratch_;  // kernel packing/code buffers (not copied)
-  // Silent-fill cache for the stepped path: consecutive silent steps write
-  // the same bias planes into the same buffer, so only the first pays the
-  // fill. Reset by BeginStepped and any non-silent step.
-  bool silent_filled_ = false;
-  const float* silent_fill_data_ = nullptr;
-  long silent_fill_numel_ = 0;
 };
 
 }  // namespace axsnn::snn

@@ -59,64 +59,6 @@ void Dense::ForwardInto(const Tensor& x, Tensor& out, bool train) {
   kernels::DenseForward(weight_, bias_, x, out, kernel_mode_, *scratch_);
 }
 
-void Dense::BeginStepped(long time_steps, long batch) {
-  (void)time_steps;
-  (void)batch;
-  silent_filled_ = false;
-}
-
-void Dense::ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) {
-  AXSNN_CHECK(x.numel() % in_features_ == 0,
-              "Dense " << name_ << ": step input numel " << x.numel()
-                       << " not divisible by in_features " << in_features_);
-  const long n = x.numel() / in_features_;
-  out.ResizeTo({n, out_features_});
-  cached_input_ = Tensor();  // stepped runs never feed Backward
-  if (ctx.out != nullptr) ctx.out->Invalidate();  // dense output is dense
-
-  // The packed rows are usable by the kernels only when the lane's plane
-  // length equals the kernel's per-sample feature count (word-row padding
-  // must line up); the silent check only needs the element counts to match.
-  const bool mask_covers =
-      ctx.in.valid() && ctx.in.batch * ctx.in.plane == x.numel();
-  const bool mask_usable = mask_covers && ctx.in.plane == in_features_;
-  if (mask_covers && ctx.in.total == 0) {
-    // Skip-on-silent: pure bias rows (the sparse path's zero-gather result).
-    if (ctx.kernel_calls_skipped != nullptr) ++*ctx.kernel_calls_skipped;
-    if (silent_filled_ && silent_fill_data_ == out.data() &&
-        silent_fill_numel_ == out.numel()) {
-      return;
-    }
-    const float* bd = bias_.data();
-    float* od = out.data();
-    for (long s = 0; s < n; ++s) {
-      float* os = od + s * out_features_;
-      for (long o = 0; o < out_features_; ++o) os[o] = bd[o];
-    }
-    silent_filled_ = true;
-    silent_fill_data_ = out.data();
-    silent_fill_numel_ = out.numel();
-    return;
-  }
-  silent_filled_ = false;
-  if (ctx.kernel_calls != nullptr) ++*ctx.kernel_calls;
-
-  kernels::PackedWords packed;
-  const kernels::PackedWords* packed_p = nullptr;
-  if (mask_usable) {
-    packed.words = ctx.in.words;
-    packed.nonzero = ctx.in.total;
-    packed_p = &packed;
-  }
-  if (!qweight_.empty()) {
-    approx::Int8DenseForward(qweight_, bias_, x, out, kernel_mode_, *scratch_,
-                             packed_p);
-    return;
-  }
-  kernels::DenseForward(weight_, bias_, x, out, kernel_mode_, *scratch_,
-                        packed_p);
-}
-
 Tensor Dense::Backward(const Tensor& grad_out) {
   AXSNN_CHECK(!cached_input_.empty(), "Dense::Backward called before Forward");
   const Tensor& x = cached_input_;

@@ -28,12 +28,6 @@ class Dense final : public Layer {
 
   Shape OutputShape(const Shape& in) const override;
   void ForwardInto(const Tensor& x, Tensor& out, bool train) override;
-  /// Event-path step: skip-on-silent (pure bias rows, cached across
-  /// consecutive silent steps) and packed-word pass-through. Sizes out to
-  /// [B, F_out] itself — the step batch has no [T, B] prefix, so the
-  /// OutputShape prefix check does not apply.
-  void ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) override;
-  void BeginStepped(long time_steps, long batch) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Tensor*> Params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> Grads() override { return {&dweight_, &dbias_}; }
@@ -81,10 +75,6 @@ class Dense final : public Layer {
   QuantizedTensor qweight_;  // int8 backend weights (empty = off)
   kernels::KernelMode kernel_mode_ = kernels::KernelMode::kAuto;
   runtime::LocalScratch scratch_;  // kernel packing/code buffers (not copied)
-  // Silent-fill cache for the stepped path (see Conv2d).
-  bool silent_filled_ = false;
-  const float* silent_fill_data_ = nullptr;
-  long silent_fill_numel_ = 0;
 };
 
 }  // namespace axsnn::snn

@@ -45,47 +45,6 @@ void Dropout::ForwardInto(const Tensor& x, Tensor& out, bool train) {
   });
 }
 
-void Dropout::BeginStepped(long time_steps, long batch) {
-  (void)time_steps;
-  (void)batch;
-  silent_filled_ = false;
-}
-
-void Dropout::ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) {
-  SizeOutput(x, out);
-  last_was_train_ = false;
-  const bool mask_covers =
-      ctx.in.valid() && ctx.in.batch * ctx.in.plane == x.numel();
-  const bool lane_fits =
-      ctx.out != nullptr &&
-      ctx.out->batch() * ctx.out->plane() == out.numel();
-  if (mask_covers && ctx.in.total == 0) {
-    // Inference dropout is the identity; a silent input copies to zeros.
-    if (lane_fits) ctx.out->ZeroFill();
-    else if (ctx.out != nullptr) ctx.out->Invalidate();
-    if (silent_filled_ && silent_fill_data_ == out.data() &&
-        silent_fill_numel_ == out.numel()) {
-      return;
-    }
-    std::fill(out.data(), out.data() + out.numel(), 0.0f);
-    silent_filled_ = true;
-    silent_fill_data_ = out.data();
-    silent_fill_numel_ = out.numel();
-    return;
-  }
-  silent_filled_ = false;
-  std::copy(x.data(), x.data() + x.numel(), out.data());
-  if (ctx.out == nullptr) return;
-  if (lane_fits && mask_covers && ctx.out->batch() == ctx.in.batch &&
-      ctx.out->plane() == ctx.in.plane) {
-    ctx.out->CopyFrom(ctx.in);
-  } else if (lane_fits) {
-    ctx.out->PackFrom(out.data());
-  } else {
-    ctx.out->Invalidate();
-  }
-}
-
 Tensor Dropout::Backward(const Tensor& grad_out) {
   if (!last_was_train_ || rate_ == 0.0f) return grad_out;
   AXSNN_CHECK(!mask_.empty(), "Dropout::Backward called before Forward");

@@ -25,11 +25,6 @@ class Dropout final : public Layer {
 
   Shape OutputShape(const Shape& in) const override;
   void ForwardInto(const Tensor& x, Tensor& out, bool train) override;
-  /// Event-path step: inference dropout is the identity, so a silent input
-  /// stays a silent all-zero output (written without reading x) and a live
-  /// input is copied through with its spike mask forwarded unchanged.
-  void ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) override;
-  void BeginStepped(long time_steps, long batch) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::string Name() const override { return name_; }
   std::unique_ptr<Layer> Clone() const override;
@@ -42,10 +37,6 @@ class Dropout final : public Layer {
   Rng rng_;
   Tensor mask_;  // [B, F...] scaled keep mask from the last training forward
   bool last_was_train_ = false;
-  // Silent-fill cache for the stepped path (see Conv2d).
-  bool silent_filled_ = false;
-  const float* silent_fill_data_ = nullptr;
-  long silent_fill_numel_ = 0;
 };
 
 }  // namespace axsnn::snn

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "kernels/spike_words.hpp"
-#include "runtime/parallel_for.hpp"
 #include "tensor/check.hpp"
 
 namespace axsnn::snn {
@@ -145,42 +143,6 @@ Tensor TimeMajor(const Tensor& frames_btx) {
   Tensor out;
   TimeMajorInto(frames_btx, out);
   return out;
-}
-
-bool TimeMajorPackInto(const Tensor& frames_btx,
-                       kernels::SpikeStream& stream) {
-  AXSNN_CHECK(frames_btx.rank() >= 3, "TimeMajorPackInto expects [B, T, ...]");
-  const long b = frames_btx.dim(0);
-  const long t_steps = frames_btx.dim(1);
-  AXSNN_CHECK(b > 0 && t_steps > 0,
-              "TimeMajorPackInto: degenerate [B, T] dims " << b << "x"
-                                                           << t_steps);
-  Shape sample_shape(frames_btx.shape().begin() + 2, frames_btx.shape().end());
-  stream.Configure(t_steps, b, std::move(sample_shape));
-  const long feat = stream.plane();
-  const float* src = frames_btx.data();
-
-  bool binary[runtime::kMaxChunks];
-  const long grain = runtime::DefaultGrain(b);
-  runtime::ParallelForChunks(
-      0, b,
-      [&](long chunk, long lo, long hi) {
-        bool ok = true;
-        for (long i = lo; i < hi; ++i) {
-          for (long t = 0; t < t_steps; ++t) {
-            const float* row = src + (i * t_steps + t) * feat;
-            for (long j = 0; j < feat; ++j)
-              if (row[j] != 0.0f && row[j] != 1.0f) ok = false;
-            kernels::PackSpikeWords(row, feat, stream.SampleWords(t, i));
-          }
-        }
-        binary[chunk] = ok;
-      },
-      grain);
-  for (long c = 0; c < runtime::NumChunks(b, grain); ++c)
-    if (!binary[c]) return false;
-  stream.FinalizeCounts();
-  return true;
 }
 
 }  // namespace axsnn::snn

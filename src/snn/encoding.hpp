@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "kernels/spike_stream.hpp"
 #include "tensor/random.hpp"
 #include "tensor/tensor.hpp"
 
@@ -60,13 +59,5 @@ Tensor TimeMajor(const Tensor& frames_btx);
 /// Allocation-free variant of TimeMajor. `out` must not alias `frames_btx`
 /// (checked — aliasing storage throws, as do degenerate [B, T] dims).
 void TimeMajorInto(const Tensor& frames_btx, Tensor& out);
-
-/// Packs per-sample frame stacks [B, T, <sample...>] straight into a
-/// time-major compressed spike stream — the event-path twin of
-/// TimeMajorInto, transposing and bit-packing in one pass without ever
-/// materializing the [T, B, ...] dense tensor. Returns false (stream left
-/// configured but contents unspecified) when any element is neither 0.0f
-/// nor 1.0f; callers fall back to the dense path then.
-bool TimeMajorPackInto(const Tensor& frames_btx, kernels::SpikeStream& stream);
 
 }  // namespace axsnn::snn

@@ -1,11 +1,7 @@
 #include "snn/inference.hpp"
 
 #include <algorithm>
-#include <optional>
 
-#include "kernels/spike_stream.hpp"
-#include "snn/event_path.hpp"
-#include "snn/event_runner.hpp"
 #include "snn/loss.hpp"
 #include "tensor/check.hpp"
 
@@ -53,17 +49,6 @@ Tensor LogitsStatic(Network& net, const Tensor& images, long time_steps,
 
 Tensor LogitsTemporal(Network& net, const Tensor& frames) {
   AXSNN_CHECK(frames.rank() == 5, "LogitsTemporal expects [B, T, C, H, W]");
-  // A post-layer (fault) hook only fires on the dense ForwardInto chain, so
-  // a hooked network must not ride the event runner — fall back to dense.
-  if (!net.has_post_layer_hook() &&
-      ResolveEventPathMode(net.event_path()) == EventPathMode::kEvent) {
-    kernels::SpikeStream stream;
-    if (TimeMajorPackInto(frames, stream)) {
-      EventRunner runner(net);
-      return runner.Run(stream);  // copy out of the runner's workspace
-    }
-    // Non-binary frames can't ride the spike stream; fall through dense.
-  }
   Tensor input = TimeMajor(frames);
   const Tensor& seq = net.ForwardShared(input, /*train=*/false);
   return ReadoutMean(seq);
@@ -101,24 +86,10 @@ std::vector<int> PredictTemporal(Network& net, const Tensor& frames,
   preds.reserve(static_cast<std::size_t>(n));
   Tensor batch;
   Tensor input;
-  // Event path: the same batches go through the stepped spike-stream
-  // runner instead — identical chunk boundaries, bit-identical logits, so
-  // predictions match the dense loop exactly. Stream and runner storage is
-  // reused across batches.
-  const bool use_event =
-      !net.has_post_layer_hook() &&  // hooks fire on the dense chain only
-      ResolveEventPathMode(net.event_path()) == EventPathMode::kEvent;
-  kernels::SpikeStream stream;
-  std::optional<EventRunner> runner;
-  if (use_event) runner.emplace(net);
   Tensor logits;
   for (long start = 0; start < n; start += batch_size) {
     const long count = std::min(batch_size, n - start);
     SliceRowsInto(frames, start, count, batch);
-    if (use_event && TimeMajorPackInto(batch, stream)) {
-      ArgmaxRowsAppend(runner->Run(stream), preds);
-      continue;
-    }
     TimeMajorInto(batch, input);
     const Tensor& seq = net.ForwardShared(input, /*train=*/false);
     ReadoutMeanInto(seq, logits);

@@ -15,123 +15,13 @@
 // allocating Tensor Forward(x, train) remains as a convenience wrapper.
 #pragma once
 
-#include <algorithm>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "kernels/spike_words.hpp"
-#include "runtime/aligned.hpp"
 #include "tensor/tensor.hpp"
 
 namespace axsnn::snn {
-
-/// Non-owning view of one timestep's bit-packed nonzero mask: `batch` rows
-/// of `words_per_plane` words (spike_words.hpp layout) plus per-sample
-/// popcounts. An invalid view (words == nullptr) means the mask is unknown
-/// — consumers fall back to dense behaviour. The mask marks *nonzero*
-/// elements of the accompanying float activation, which is exactly what
-/// the kernel dispatchers' density decision and sparse gather consume
-/// (kernels::PackedWords); values need not be binary.
-struct SpikeView {
-  const std::uint64_t* words = nullptr;
-  const std::int32_t* counts = nullptr;
-  long batch = 0;
-  long plane = 0;
-  long words_per_plane = 0;
-  long total = 0;  ///< sum of counts; 0 == silent step
-  bool valid() const { return words != nullptr; }
-};
-
-/// Owning per-step spike-plane buffer — the "lane" the event-driven runner
-/// threads between layers so each layer's skip decision and sparse gather
-/// read one shared popcount instead of re-probing the floats. Storage never
-/// shrinks, so reconfiguring per step/batch is allocation-free in steady
-/// state.
-class SpikePlanes {
- public:
-  /// Sizes the buffer for `batch` planes of `plane` elements each and marks
-  /// the contents invalid until a producer fills them.
-  void Configure(long batch, long plane) {
-    batch_ = batch;
-    plane_ = plane;
-    wpp_ = kernels::SpikeWordCount(plane);
-    const std::size_t n_words =
-        static_cast<std::size_t>(batch) * static_cast<std::size_t>(wpp_);
-    if (words_.size() < n_words) words_.resize(n_words);
-    if (counts_.size() < static_cast<std::size_t>(batch))
-      counts_.resize(static_cast<std::size_t>(batch));
-    valid_ = false;
-  }
-
-  void Invalidate() { valid_ = false; }
-  bool valid() const { return valid_; }
-  long batch() const { return batch_; }
-  long plane() const { return plane_; }
-
-  /// All-zero mask (a silent plane).
-  void ZeroFill() {
-    std::fill(words_.begin(),
-              words_.begin() + static_cast<std::ptrdiff_t>(batch_ * wpp_), 0);
-    std::fill(counts_.begin(),
-              counts_.begin() + static_cast<std::ptrdiff_t>(batch_), 0);
-    total_ = 0;
-    valid_ = true;
-  }
-
-  /// Packs the nonzero mask of `x` (batch rows of plane floats).
-  void PackFrom(const float* x) {
-    long total = 0;
-    for (long i = 0; i < batch_; ++i) {
-      const long c = kernels::PackSpikeWords(x + i * plane_, plane_,
-                                             words_.data() + i * wpp_);
-      counts_[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(c);
-      total += c;
-    }
-    total_ = total;
-    valid_ = true;
-  }
-
-  /// Copies another step's mask (identity layers: dropout in eval mode).
-  void CopyFrom(const SpikeView& in) {
-    std::copy(in.words, in.words + batch_ * wpp_, words_.data());
-    std::copy(in.counts, in.counts + batch_, counts_.data());
-    total_ = in.total;
-    valid_ = true;
-  }
-
-  SpikeView View() const {
-    SpikeView v;
-    if (!valid_) return v;
-    v.words = words_.data();
-    v.counts = counts_.data();
-    v.batch = batch_;
-    v.plane = plane_;
-    v.words_per_plane = wpp_;
-    v.total = total_;
-    return v;
-  }
-
- private:
-  long batch_ = 0;
-  long plane_ = 0;
-  long wpp_ = 0;
-  long total_ = 0;
-  bool valid_ = false;
-  runtime::AlignedVector<std::uint64_t> words_;
-  std::vector<std::int32_t> counts_;
-};
-
-/// Per-timestep forward context for the event-driven path (EventRunner).
-struct StepContext {
-  long t = 0;           ///< current timestep, 0-based
-  long time_steps = 0;  ///< total steps in the run
-  SpikeView in;         ///< packed mask of `x`, if the producer published one
-  SpikePlanes* out = nullptr;  ///< where to publish this layer's output mask
-  long* kernel_calls = nullptr;          ///< ++ per conv/dense kernel run
-  long* kernel_calls_skipped = nullptr;  ///< ++ per skip-on-silent bias fill
-};
 
 /// Abstract base class of all network layers.
 ///
@@ -167,36 +57,6 @@ class Layer {
     ForwardInto(x, out, train);
     return out;
   }
-
-  /// Event-path stepped forward: processes one timestep's batch [B, ...]
-  /// instead of the whole [T, B, ...] sequence. Must produce exactly the
-  /// slice ForwardInto would have written for this step (the dense-path
-  /// equivalence contract — pinned by tests/test_event_pipeline.cpp).
-  /// `ctx.in` optionally carries the packed nonzero mask of `x` so the
-  /// layer can skip work on silent steps and feed the sparse kernels
-  /// without re-deriving the mask; when `ctx.in` is valid and silent
-  /// (total == 0), implementations must not read x's *data* (the runner
-  /// skips densifying silent steps — x then has the right shape but stale
-  /// contents). Layers publish their own output mask into `ctx.out` when
-  /// they can do so cheaply, or invalidate it. Bracketed by BeginStepped /
-  /// EndStepped; only inference-mode behaviour (no dropout noise, no
-  /// Backward caches — Backward after a stepped run throws).
-  ///
-  /// Default: run ForwardInto in inference mode on the step batch and
-  /// publish no mask — correct for any stateless layer.
-  virtual void ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) {
-    ForwardInto(x, out, false);
-    if (ctx.out != nullptr) ctx.out->Invalidate();
-  }
-
-  /// Bracket a stepped run (EventRunner): BeginStepped resets per-run
-  /// stepped state (LIF membrane carries, silent-fill caches) before step
-  /// t == 0; EndStepped runs after the last step.
-  virtual void BeginStepped(long time_steps, long batch) {
-    (void)time_steps;
-    (void)batch;
-  }
-  virtual void EndStepped() {}
 
   /// Backpropagates through the cached forward pass; returns dL/d(input).
   virtual Tensor Backward(const Tensor& grad_out) = 0;

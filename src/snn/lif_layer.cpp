@@ -1,6 +1,5 @@
 #include "snn/lif_layer.hpp"
 
-#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -98,44 +97,6 @@ void LifLayer::ForwardInto(const Tensor& x, Tensor& out, bool /*train*/) {
   last_mean_rate_ = static_cast<float>(total_spikes / count);
   last_mean_membrane_ = static_cast<float>(total_membrane / count);
   last_mean_drive_ = static_cast<float>(total_drive / count);
-}
-
-void LifLayer::ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) {
-  out.ResizeTo(x.shape());
-  const long n = x.numel();
-  if (ctx.t == 0) {
-    if (stepped_carry_.size() < static_cast<std::size_t>(n))
-      stepped_carry_.resize(static_cast<std::size_t>(n));
-    std::fill(stepped_carry_.begin(), stepped_carry_.begin() + n, 0.0f);
-  }
-  // Stepped runs never feed Backward: drop the BPTT caches so a Backward
-  // call throws instead of differentiating a stale dense-path forward.
-  cached_membrane_ = Tensor();
-  cached_spikes_ = Tensor();
-
-  const float* xd = x.data();
-  float* od = out.data();
-  float* cd = stepped_carry_.data();
-  const float beta = params_.beta;
-  const float vth = params_.v_threshold;
-  const float vreset = params_.v_reset;
-  // Same arithmetic op sequence as one t-iteration of the dense recursion:
-  // cd[i] enters as (s_prev > 0 ? v_reset : u_prev) and leaves as the next
-  // step's carry, so outputs are bit-identical to ForwardInto's slice t.
-  runtime::ParallelFor(0, n, [&](long i) {
-    const float u_t = beta * cd[i] + xd[i];
-    const float s_t = u_t >= vth ? 1.0f : 0.0f;
-    od[i] = s_t;
-    cd[i] = s_t > 0.0f ? vreset : u_t;
-  });
-
-  if (ctx.out != nullptr) {
-    if (ctx.out->batch() * ctx.out->plane() == n) {
-      ctx.out->PackFrom(od);
-    } else {
-      ctx.out->Invalidate();
-    }
-  }
 }
 
 Tensor LifLayer::Backward(const Tensor& grad_out) {

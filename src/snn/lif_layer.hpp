@@ -27,15 +27,6 @@ class LifLayer final : public Layer {
 
   Shape OutputShape(const Shape& in) const override;
   void ForwardInto(const Tensor& x, Tensor& out, bool train) override;
-  /// Event-path step: advances the membrane recursion one timestep from a
-  /// per-neuron carry (bit-identical to the dense recursion — the carry
-  /// holds exactly the post-reset membrane the dense loop would feed into
-  /// step t). LIF is never skipped on silent steps: the leak and any bias
-  /// currents from an upstream silent-filled conv/dense still integrate.
-  /// Publishes the (binary) output spikes into ctx.out. Skips the spike
-  /// statistics (Eq. (1) calibration runs on the dense path) and
-  /// invalidates the BPTT caches, so Backward after a stepped run throws.
-  void ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::string Name() const override { return name_; }
   std::unique_ptr<Layer> Clone() const override;
@@ -76,9 +67,6 @@ class LifLayer final : public Layer {
   // Per-chunk (spikes, membrane, drive) partial sums, reused across passes
   // so the steady-state forward path performs no allocation.
   std::vector<std::array<double, 3>> stat_partials_;
-  // Stepped-path carry: per-neuron post-reset membrane between timesteps
-  // (s_prev > 0 ? v_reset : u_prev). Zeroed at step 0, reused across runs.
-  std::vector<float> stepped_carry_;
   float last_mean_rate_ = 0.0f;
   float last_mean_membrane_ = 0.0f;
   float last_mean_drive_ = 0.0f;

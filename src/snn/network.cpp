@@ -100,7 +100,6 @@ void Network::SetLifParams(const LifParams& params) {
 Network Network::Clone() const {
   Network copy;
   for (const auto& layer : layers_) copy.Add(layer->Clone());
-  copy.event_path_ = event_path_;
   return copy;
 }
 

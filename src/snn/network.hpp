@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "runtime/workspace.hpp"
-#include "snn/event_path.hpp"
 #include "snn/layer.hpp"
 #include "snn/lif.hpp"
 #include "tensor/tensor.hpp"
@@ -99,21 +98,11 @@ class Network {
   /// "structural parameter" knob (threshold voltage sweep).
   void SetLifParams(const LifParams& params);
 
-  /// Temporal execution path preference for this network: kDense runs the
-  /// [T, B, ...] frame-tensor pipeline, kEvent the compressed spike-stream
-  /// one. Resolved against the AXSNN_EVENT_PATH env override / global mode
-  /// at dispatch time (snn::ResolveEventPathMode); kAuto means dense.
-  EventPathMode event_path() const { return event_path_; }
-  void set_event_path(EventPathMode mode) { event_path_ = mode; }
-
   /// Transient-fault injection hook (src/faults/): called after every
   /// layer's ForwardInto with the layer index and the freshly written
   /// activation, which it may corrupt in place. Deliberately execution
   /// state, not model state: Clone() does NOT copy it (a clone restarts
-  /// fault-free) and StateDict() never sees it. The hook fires on the
-  /// dense path only; the temporal dispatchers fall back to dense when one
-  /// is installed (snn/inference.cpp, core/workbench.cpp) so the corruption
-  /// is never silently skipped by the event path.
+  /// fault-free) and StateDict() never sees it.
   using PostLayerHook = std::function<void(std::size_t layer, Tensor& act)>;
   void set_post_layer_hook(PostLayerHook hook) {
     post_layer_hook_ = std::move(hook);
@@ -136,7 +125,6 @@ class Network {
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
   runtime::Workspace workspace_;  // activation ping-pong for ForwardShared
-  EventPathMode event_path_ = EventPathMode::kAuto;
   PostLayerHook post_layer_hook_;  // transient; never cloned/serialized
 };
 

@@ -1,6 +1,5 @@
 #include "snn/pool.hpp"
 
-#include <algorithm>
 
 #include "runtime/parallel_for.hpp"
 #include "tensor/check.hpp"
@@ -67,65 +66,6 @@ void AvgPool2d::ForwardInto(const Tensor& x, Tensor& out, bool /*train*/) {
       }
     }
   });
-}
-
-void AvgPool2d::BeginStepped(long time_steps, long batch) {
-  (void)time_steps;
-  (void)batch;
-  silent_filled_ = false;
-}
-
-void AvgPool2d::ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) {
-  long planes = 0, h = 0, w = 0;
-  PlaneDims(x, window_, planes, h, w);
-  cached_in_shape_ = Shape();  // stepped runs never feed Backward
-  SizeOutput(x, out);
-
-  const bool mask_covers =
-      ctx.in.valid() && ctx.in.batch * ctx.in.plane == x.numel();
-  if (mask_covers && ctx.in.total == 0) {
-    // Silent step: every window sum is +0.0f and +0 * inv stays +0.0f, so
-    // the dense path's output is exactly zero — fill it without reading x.
-    if (ctx.out != nullptr) ctx.out->ZeroFill();
-    if (silent_filled_ && silent_fill_data_ == out.data() &&
-        silent_fill_numel_ == out.numel()) {
-      return;
-    }
-    std::fill(out.data(), out.data() + out.numel(), 0.0f);
-    silent_filled_ = true;
-    silent_fill_data_ = out.data();
-    silent_fill_numel_ = out.numel();
-    return;
-  }
-  silent_filled_ = false;
-
-  const long ho = h / window_;
-  const long wo = w / window_;
-  const float inv = 1.0f / static_cast<float>(window_ * window_);
-  const float* xd = x.data();
-  float* od = out.data();
-  runtime::ParallelFor(0, planes, [&](long p) {
-    const float* xp = xd + p * h * w;
-    float* op = od + p * ho * wo;
-    for (long oy = 0; oy < ho; ++oy) {
-      for (long ox = 0; ox < wo; ++ox) {
-        float acc = 0.0f;
-        for (long ky = 0; ky < window_; ++ky)
-          for (long kx = 0; kx < window_; ++kx)
-            acc += xp[(oy * window_ + ky) * w + ox * window_ + kx];
-        op[oy * wo + ox] = acc * inv;
-      }
-    }
-  });
-  // Pooled rates are fractional, not binary — the lane mask marks nonzeros,
-  // which is all the downstream silent check and sparse gather need.
-  if (ctx.out != nullptr) {
-    if (ctx.out->batch() * ctx.out->plane() == out.numel()) {
-      ctx.out->PackFrom(od);
-    } else {
-      ctx.out->Invalidate();
-    }
-  }
 }
 
 Tensor AvgPool2d::Backward(const Tensor& grad_out) {

@@ -22,13 +22,6 @@ class AvgPool2d final : public Layer {
 
   Shape OutputShape(const Shape& in) const override;
   void ForwardInto(const Tensor& x, Tensor& out, bool train) override;
-  /// Event-path step: a silent input pools to an exactly-zero output (the
-  /// dense path's +0 window sums), published as an all-zero mask without
-  /// touching x's data; otherwise pools normally and packs the output's
-  /// nonzero mask (fractional rates pack fine — the mask marks nonzeros,
-  /// not binary spikes). Invalidates the Backward cache.
-  void ForwardStep(const Tensor& x, Tensor& out, StepContext& ctx) override;
-  void BeginStepped(long time_steps, long batch) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::string Name() const override { return name_; }
   std::unique_ptr<Layer> Clone() const override;
@@ -39,10 +32,6 @@ class AvgPool2d final : public Layer {
   std::string name_;
   long window_ = 2;
   Shape cached_in_shape_;
-  // Silent-fill cache for the stepped path (see Conv2d).
-  bool silent_filled_ = false;
-  const float* silent_fill_data_ = nullptr;
-  long silent_fill_numel_ = 0;
 };
 
 /// Non-overlapping max pooling with a square window.

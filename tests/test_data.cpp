@@ -1,5 +1,5 @@
 // Tests for the synthetic datasets: digit generator, DVS gesture simulator,
-// event binning (dense and packed), event stream IO hardening.
+// event binning, event stream IO hardening.
 #include <algorithm>
 #include <limits>
 #include <set>
@@ -13,7 +13,6 @@
 #include "data/event.hpp"
 #include "data/event_io.hpp"
 #include "data/synthetic_mnist.hpp"
-#include "kernels/spike_stream.hpp"
 
 namespace axsnn::data {
 namespace {
@@ -210,6 +209,36 @@ TEST(BinDataset, StacksPerStream) {
   EXPECT_GT(frames.Sum(), 0.0f);
 }
 
+TEST(BinDataset, RejectsStreamGeometryMismatch) {
+  // Each stream bins straight into its [T, 2, H, W] row of the dataset's
+  // geometry, so a smaller or a larger stream would run past that row.
+  // Both must throw before any binning.
+  EventStream small;
+  small.width = 2;
+  small.height = 2;
+  small.duration_ms = 10.0f;
+  small.events = {{1, 1, 1, 5.0f}};
+  EventDataset ds;
+  ds.width = 32;
+  ds.height = 32;
+  ds.duration_ms = 10.0f;
+  ds.num_classes = 1;
+  ds.streams = {small};
+  ds.labels = {0};
+  EXPECT_THROW(BinDataset(ds, 4), std::invalid_argument);
+  ds.width = 1;
+  ds.height = 1;
+  EXPECT_THROW(BinDataset(ds, 4), std::invalid_argument);
+  ds.width = 2;
+  ds.height = 2;
+  EXPECT_FLOAT_EQ(BinDataset(ds, 4).Sum(), 1.0f);
+  ds.width = 0;
+  ds.height = 0;
+  ds.streams[0].width = 0;
+  ds.streams[0].height = 0;
+  EXPECT_THROW(BinDataset(ds, 4), std::invalid_argument);
+}
+
 TEST(BinEvents, RejectsBadInputs) {
   EventStream s;
   s.width = 0;
@@ -220,101 +249,6 @@ TEST(BinEvents, RejectsBadInputs) {
   EXPECT_THROW(BinEvents(s, 0), std::invalid_argument);
   s.duration_ms = 0.0f;
   EXPECT_THROW(BinEvents(s, 4), std::invalid_argument);
-}
-
-// --- Packed (event-path) binning mirrors the dense binning ------------------
-
-TEST(BinEventsPacked, MatchesDenseBinning) {
-  DvsGestureOptions opts;
-  Rng rng(5);
-  EventStream s = SimulateGesture(3, opts, rng);
-  const long kBins = 6;
-  Tensor dense = BinEvents(s, kBins);
-  kernels::SpikeStream stream;
-  BinEventsPacked(s, kBins, stream);
-  ASSERT_EQ(stream.time_steps(), kBins);
-  ASSERT_EQ(stream.batch(), 1);
-  const long plane = 2 * opts.height * opts.width;
-  ASSERT_EQ(stream.plane(), plane);
-  std::vector<float> step(static_cast<std::size_t>(plane));
-  long total = 0;
-  for (long t = 0; t < kBins; ++t) {
-    stream.DensifyStepInto(t, step.data());
-    for (long j = 0; j < plane; ++j)
-      ASSERT_EQ(step[static_cast<std::size_t>(j)], dense[t * plane + j])
-          << "step " << t << " element " << j;
-    total += stream.StepTotal(t);
-  }
-  EXPECT_FLOAT_EQ(static_cast<float>(total), dense.Sum());
-  EXPECT_GT(total, 0);
-}
-
-TEST(BinEventsPacked, ToleratesOutOfRangeEvents) {
-  // Attacked streams push events off-sensor / out of the time window; the
-  // packed binner must drop exactly what the dense binner drops.
-  EventStream s;
-  s.width = 2;
-  s.height = 2;
-  s.duration_ms = 10.0f;
-  s.events = {{5, 0, 1, 1.0f},   // off sensor
-              {0, 0, 1, 20.0f},  // after end
-              {0, 0, 1, -1.0f},  // before start
-              {1, 1, 1, 5.0f}};  // valid
-  kernels::SpikeStream stream;
-  BinEventsPacked(s, 2, stream);
-  EXPECT_EQ(stream.TotalSpikes(), 1);
-  EXPECT_EQ(stream.StepTotal(1), 1);
-}
-
-TEST(BinEventsPacked, RejectsBadInputs) {
-  EventStream s;
-  s.width = 0;
-  s.height = 2;
-  s.duration_ms = 10.0f;
-  kernels::SpikeStream stream;
-  EXPECT_THROW(BinEventsPacked(s, 4, stream), std::invalid_argument);
-  s.width = 2;
-  EXPECT_THROW(BinEventsPacked(s, 0, stream), std::invalid_argument);
-  s.duration_ms = 0.0f;
-  EXPECT_THROW(BinEventsPacked(s, 4, stream), std::invalid_argument);
-}
-
-TEST(BinRangePacked, MatchesBinDatasetRows) {
-  DvsGestureOptions opts;
-  opts.count = 6;
-  EventDataset ds = MakeSyntheticDvsGesture(opts);
-  const long kBins = 5;
-  Tensor frames = BinDataset(ds, kBins);  // [6, T, 2, 32, 32]
-  const long plane = 2 * ds.height * ds.width;
-  // A mid-dataset chunk, as the streaming evaluation loop would take it.
-  const long lo = 2, hi = 5;
-  kernels::SpikeStream stream;
-  BinRangePacked(ds, lo, hi, kBins, stream);
-  ASSERT_EQ(stream.time_steps(), kBins);
-  ASSERT_EQ(stream.batch(), hi - lo);
-  ASSERT_EQ(stream.plane(), plane);
-  std::vector<float> step(static_cast<std::size_t>((hi - lo) * plane));
-  for (long t = 0; t < kBins; ++t) {
-    stream.DensifyStepInto(t, step.data());
-    for (long i = 0; i < hi - lo; ++i) {
-      const float* want = frames.data() + ((lo + i) * kBins + t) * plane;
-      const float* got = step.data() + i * plane;
-      for (long j = 0; j < plane; ++j)
-        ASSERT_EQ(got[j], want[j]) << "sample " << i << " step " << t;
-    }
-  }
-  EXPECT_GT(stream.TotalSpikes(), 0);
-}
-
-TEST(BinRangePacked, RejectsBadRange) {
-  DvsGestureOptions opts;
-  opts.count = 4;
-  EventDataset ds = MakeSyntheticDvsGesture(opts);
-  kernels::SpikeStream stream;
-  EXPECT_THROW(BinRangePacked(ds, -1, 2, 4, stream), std::invalid_argument);
-  EXPECT_THROW(BinRangePacked(ds, 2, 2, 4, stream), std::invalid_argument);
-  EXPECT_THROW(BinRangePacked(ds, 0, 5, 4, stream), std::invalid_argument);
-  EXPECT_THROW(BinRangePacked(ds, 0, 4, 0, stream), std::invalid_argument);
 }
 
 // --- Event IO hardening: malformed streams fail with offset context ---------
@@ -422,6 +356,54 @@ TEST(EventIo, DatasetRejectsBadLabel) {
         << e.what();
     EXPECT_NE(std::string(e.what()).find("byte offset"), std::string::npos)
         << e.what();
+  }
+}
+
+/// Serializes `ds` and returns ReadEventDataset's error ("" on success).
+std::string ReadDatasetError(const EventDataset& ds) {
+  std::ostringstream os;
+  WriteEventDataset(os, ds);
+  std::istringstream is(os.str());
+  try {
+    ReadEventDataset(is);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(EventIo, DatasetRejectsStreamGeometryMismatch) {
+  // A 32x32 dataset holding a 4x4 stream would make BinDataset read past
+  // the stream's frames; the reader must refuse the file instead.
+  EventDataset ds;
+  ds.width = 32;
+  ds.height = 32;
+  ds.duration_ms = 10.0f;
+  ds.num_classes = 2;
+  ds.streams = {SmallValidStream(), SmallValidStream()};
+  ds.labels = {0, 1};
+  const std::string err = ReadDatasetError(ds);
+  EXPECT_NE(err.find("malformed"), std::string::npos) << err;
+  EXPECT_NE(err.find("differs from the dataset"), std::string::npos) << err;
+  EXPECT_NE(err.find("byte offset"), std::string::npos) << err;
+  ds.width = 4;
+  ds.height = 4;
+  EXPECT_EQ(ReadDatasetError(ds), "");
+}
+
+TEST(EventIo, DatasetRejectsBadGeometry) {
+  EventDataset ds;
+  ds.duration_ms = 10.0f;
+  ds.num_classes = 2;
+  ds.streams = {SmallValidStream()};
+  ds.labels = {0};
+  for (long bad : {0L, -4L, 32769L}) {
+    ds.width = bad;
+    ds.height = 4;
+    const std::string err = ReadDatasetError(ds);
+    EXPECT_NE(err.find("dataset geometry"), std::string::npos)
+        << "width=" << bad << ": " << err;
+    EXPECT_NE(err.find("byte offset"), std::string::npos) << err;
   }
 }
 

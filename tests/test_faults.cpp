@@ -1,8 +1,8 @@
 // Fault-subsystem tests: spec labels/validation, the per-word corruption
-// ops, injector determinism (same seed -> same bytes, at every kernel mode,
-// pool size and temporal path), surface targeting (int8 codes vs scales vs
-// float words, fp16 lattice closure, empty-surface no-ops), the activation
-// hook's transient semantics, the fault axis through the scenario engine,
+// ops, injector determinism (same seed -> same bytes, at every kernel mode
+// and pool size), surface targeting (int8 codes vs scales vs float words,
+// fp16 lattice closure, empty-surface no-ops), the activation hook's
+// transient semantics, the fault axis through the scenario engine,
 // store-key isolation of corrupted results, the registry fault attacks and
 // a pinned greedy sensitivity-search regression.
 #include <cstring>
@@ -21,7 +21,6 @@
 #include "scenario/store.hpp"
 #include "snn/conv2d.hpp"
 #include "snn/dense.hpp"
-#include "snn/event_path.hpp"
 #include "snn/lif_layer.hpp"
 
 namespace axsnn {
@@ -377,16 +376,6 @@ TEST(FaultInjector, ActivationHookIsTransientAndPathInvariant) {
   snn::Network again = Variant(approx::Precision::kFp32);
   faults::ApplyFault(again, spec, approx::Precision::kFp32);
   EXPECT_EQ(bench.AccuracyPct(again, images, model.time_steps), hooked_acc);
-
-  // The temporal dispatchers fall back to the dense path when hooked, so a
-  // forced event path cannot silently skip the corruption.
-  {
-    snn::ScopedEventPathMode event_path(snn::EventPathMode::kEvent);
-    snn::Network under_event = Variant(approx::Precision::kFp32);
-    faults::ApplyFault(under_event, spec, approx::Precision::kFp32);
-    EXPECT_EQ(bench.AccuracyPct(under_event, images, model.time_steps),
-              hooked_acc);
-  }
 }
 
 // --- engine fault axis ------------------------------------------------------
@@ -406,18 +395,14 @@ scenario::ScenarioGrid FaultedMiniGrid() {
   return grid;
 }
 
-TEST(ScenarioFaultAxis, DeterministicAcrossPoolSizesKernelsAndEventPath) {
+TEST(ScenarioFaultAxis, DeterministicAcrossPoolSizesAndKernels) {
   scenario::ScenarioGrid grid = FaultedMiniGrid();
   grid.kernel_modes = {std::nullopt, kernels::KernelMode::kNaive};
 
   std::vector<float> reference;
   long reference_faulted = -1;
-  for (int variant = 0; variant < 3; ++variant) {
-    ScopedThreads pool(variant == 0 ? 1 : 4);
-    std::unique_ptr<snn::ScopedEventPathMode> event_path;
-    if (variant == 2)
-      event_path =
-          std::make_unique<snn::ScopedEventPathMode>(snn::EventPathMode::kEvent);
+  for (int threads : {1, 4}) {
+    ScopedThreads pool(threads);
     scenario::StaticScenarioEngine engine(SharedMiniBench());
     const auto outcome = engine.Run(grid);
     if (reference.empty()) {
@@ -429,7 +414,7 @@ TEST(ScenarioFaultAxis, DeterministicAcrossPoolSizesKernelsAndEventPath) {
       ASSERT_EQ(reference.size(), outcome.robustness_pct.size());
       for (std::size_t i = 0; i < reference.size(); ++i)
         EXPECT_EQ(reference[i], outcome.robustness_pct[i])
-            << "run variant " << variant << " changed cell " << i;
+            << "pool of " << threads << " changed cell " << i;
       EXPECT_EQ(outcome.stats.faulted_evals, reference_faulted);
     }
   }

@@ -285,5 +285,18 @@ TEST(Inference, DeterministicGivenSeed) {
   EXPECT_EQ(a, b);
 }
 
+TEST(TimeMajorInto, RejectsAliasedOutput) {
+  Tensor frames = Tensor::Ones({2, 3, 1, 4, 4});
+  EXPECT_THROW(TimeMajorInto(frames, frames), std::invalid_argument);
+}
+
+TEST(TimeMajorInto, RejectsDegenerateDims) {
+  Tensor empty_batch({0, 3, 4});
+  Tensor out;
+  EXPECT_THROW(TimeMajorInto(empty_batch, out), std::invalid_argument);
+  Tensor empty_time({3, 0, 4});
+  EXPECT_THROW(TimeMajorInto(empty_time, out), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace axsnn::snn

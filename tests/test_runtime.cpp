@@ -66,6 +66,25 @@ TEST(ThreadPool, PropagatesTaskExceptions) {
   EXPECT_EQ(count.load(), 8);
 }
 
+TEST(ThreadPool, InlineRunFinishesEveryTaskBeforeRethrowing) {
+  // A pool of one runs its batch inline; it must keep the queued branch's
+  // contract: every task runs, then the first exception is rethrown.
+  runtime::ThreadPool pool(1);
+  std::vector<int> ran(8, 0);
+  try {
+    pool.Run(8, [&](long i) {
+      ran[static_cast<std::size_t>(i)] = 1;
+      if (i == 2) throw std::runtime_error("task 2");
+      if (i == 5) throw std::logic_error("task 5");
+    });
+    FAIL() << "expected the task exception to be rethrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 2");  // the first error, not the last
+  }
+  for (std::size_t i = 0; i < ran.size(); ++i)
+    EXPECT_EQ(ran[i], 1) << "task " << i << " never ran";
+}
+
 // A task that calls Run queues its batch behind the outer one; the workers
 // the outer batch leaves idle must pick up its chunks.
 TEST(ThreadPool, NestedRunUsesIdleWorkers) {
