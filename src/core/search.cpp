@@ -47,20 +47,20 @@ struct BestTracker {
 };
 
 /// The (precision, level) grid of one structural cell, in Algorithm 1's
-/// iteration order.
-std::vector<VariantSpec> GridSpecs(const SearchSpace& space) {
+/// iteration order (the engine's cell order within a unit).
+std::vector<VariantSpec> GridSpecs(const scenario::ScenarioGrid& grid) {
   std::vector<VariantSpec> specs;
-  specs.reserve(space.precisions.size() * space.approx_levels.size());
-  for (approx::Precision precision : space.precisions)
-    for (double level : space.approx_levels)
+  specs.reserve(grid.precisions.size() * grid.levels.size());
+  for (approx::Precision precision : grid.precisions)
+    for (double level : grid.levels)
       specs.push_back({precision, level, std::nullopt});
   return specs;
 }
 
-/// Folds the fan-out results of one structural cell back into the outcome in
-/// grid order, reproducing Algorithm 1 lines 15-24 exactly: the trace stops
-/// at the winning candidate under return_first, just like the serial loop.
-/// Returns true when the search should stop.
+/// Folds the results of one structural cell back into the outcome in grid
+/// order, reproducing Algorithm 1 lines 15-24 exactly: under return_first
+/// the trace stops at the winning candidate. Returns true when the search
+/// should stop.
 bool AccumulateCell(SearchOutcome& outcome, BestTracker& best,
                     const SearchConfig& config, CandidateResult base,
                     std::span<const VariantSpec> specs,
@@ -101,16 +101,14 @@ scenario::ScenarioGrid MakeSearchGrid(const SearchSpace& space,
   return grid;
 }
 
-/// Folds a full-grid scenario outcome back into a SearchOutcome in grid
-/// order; gated structural cells contribute nothing, exactly like the
-/// serial walk's `continue` on the training gate.
-SearchOutcome FoldGridOutcome(const scenario::ScenarioOutcome& grid_outcome,
-                              const SearchConfig& config,
-                              std::span<const VariantSpec> specs) {
-  SearchOutcome outcome;
-  BestTracker best;
+/// Folds a scenario outcome back into the search in grid order; gated
+/// structural cells contribute nothing (Algorithm 1 line 4's `continue`).
+/// Returns true when the search should stop (first hit under return_first).
+bool FoldOutcome(SearchOutcome& outcome, BestTracker& best,
+                 const SearchConfig& config,
+                 const scenario::ScenarioOutcome& grid_outcome,
+                 std::span<const VariantSpec> specs) {
   const scenario::ScenarioGrid& grid = grid_outcome.grid;
-  const std::size_t block = specs.size();
   for (std::size_t iv = 0; iv < grid.v_thresholds.size(); ++iv) {
     for (std::size_t it = 0; it < grid.time_steps.size(); ++it) {
       const std::size_t base = grid.Index(iv, it, 0, 0, 0, 0, 0, 0);
@@ -119,12 +117,52 @@ SearchOutcome FoldGridOutcome(const scenario::ScenarioOutcome& grid_outcome,
       cell.v_threshold = grid.v_thresholds[iv];
       cell.time_steps = grid_outcome.cells[base].time_steps;
       cell.train_accuracy_pct = grid_outcome.train_accuracy_pct[base];
-      (void)AccumulateCell(
-          outcome, best, config, cell, specs,
-          std::span<const float>(grid_outcome.robustness_pct)
-              .subspan(base, block));
+      if (AccumulateCell(outcome, best, config, cell, specs,
+                         std::span<const float>(grid_outcome.robustness_pct)
+                             .subspan(base, specs.size())))
+        return true;
     }
   }
+  return false;
+}
+
+/// Algorithm 1 on the scenario engine, for either workload. Whole-grid mode
+/// runs `grid` once. First-hit mode runs its structural cells in grid order
+/// as single-cell grids and stops at the first candidate meeting Q, so
+/// later cells never train. Either way a supplied engine shares its model
+/// and craft caches; nullptr uses a search-local engine.
+template <typename W>
+SearchOutcome SearchOnEngine(const typename W::Bench& bench,
+                             scenario::ScenarioEngine<W>* engine,
+                             const scenario::ScenarioGrid& grid,
+                             const SearchConfig& config) {
+  AXSNN_CHECK(engine == nullptr || &engine->bench() == &bench,
+              "the supplied scenario engine wraps a different workbench");
+  scenario::ScenarioEngine<W> local(bench);
+  scenario::ScenarioEngine<W>& exec = engine ? *engine : local;
+  const std::vector<VariantSpec> specs = GridSpecs(grid);
+
+  std::vector<scenario::ScenarioGrid> runs;
+  if (!config.return_first) {
+    runs.push_back(grid);
+  } else {
+    for (float vth : grid.v_thresholds) {
+      for (long t : grid.time_steps) {
+        scenario::ScenarioGrid cell = grid;
+        cell.v_thresholds = {vth};
+        cell.time_steps = {t};
+        runs.push_back(std::move(cell));
+      }
+    }
+  }
+  SearchOutcome outcome;
+  BestTracker best;
+  for (const scenario::ScenarioGrid& run : runs) {
+    // Lines 22-24: fold back in grid order, accepting on Q.
+    if (FoldOutcome(outcome, best, config, exec.Run(run), specs)) break;
+  }
+  // When nothing met Q, `best` already holds the strongest candidate seen
+  // (found stays false) — the best-effort answer in either mode.
   return outcome;
 }
 
@@ -139,59 +177,8 @@ SearchOutcome PrecisionScalingSearch(const StaticWorkbench& bench,
   AXSNN_CHECK(attack.supports_static(),
               "static search needs a static-capable attack — '"
                   << attack.name() << "' applies to event datasets only");
-
-  AXSNN_CHECK(engine == nullptr || &engine->bench() == &bench,
-              "the supplied scenario engine wraps a different workbench");
-  const std::vector<VariantSpec> specs = GridSpecs(space);
-
-  if (!config.return_first) {
-    // Whole-grid mode: one declarative scenario on the engine.
-    scenario::StaticScenarioEngine local(bench);
-    scenario::StaticScenarioEngine& exec = engine ? *engine : local;
-    return FoldGridOutcome(exec.Run(MakeSearchGrid(space, config, attack)),
-                           config, specs);
-  }
-
-  // First-hit mode: the paper's serial grid walk, stopping at the first
-  // candidate meeting Q (so later structural cells never train). A provided
-  // engine still shares its trained-model cache.
-  SearchOutcome outcome;
-  BestTracker best;
-  for (float vth : space.v_thresholds) {
-    for (long t : space.time_steps) {
-      // Line 3: train the accurate SNN at this structural cell.
-      StaticWorkbench::TrainedModel local_model;
-      const StaticWorkbench::TrainedModel* model;
-      if (engine != nullptr) {
-        model = &engine->TrainCached(vth, t);
-      } else {
-        local_model = bench.Train(vth, t);
-        model = &local_model;
-      }
-      // Line 4: quality gate on learning.
-      if (model->train_accuracy_pct < config.quality_constraint_pct) continue;
-      // Line 5: adversarial examples crafted on the accurate model.
-      Tensor adversarial = bench.Craft(*model, attack.name(), config.epsilon,
-                                       config.attack_params);
-
-      // Lines 8-21 for the whole (precision, level) grid of this structural
-      // cell: independent variants fan out on the runtime pool.
-      const std::vector<float> robustness =
-          bench.EvaluateVariants(*model, adversarial, specs);
-
-      // Lines 22-24: fold back in grid order; accept on the quality
-      // constraint exactly like the serial loop.
-      CandidateResult base;
-      base.v_threshold = vth;
-      base.time_steps = t;
-      base.train_accuracy_pct = model->train_accuracy_pct;
-      if (AccumulateCell(outcome, best, config, base, specs, robustness))
-        return outcome;
-    }
-  }
-  // When nothing met Q, `best` already holds the strongest candidate seen
-  // (found stays false) — the best-effort answer for any return_first mode.
-  return outcome;
+  return SearchOnEngine(bench, engine, MakeSearchGrid(space, config, attack),
+                        config);
 }
 
 SearchOutcome PrecisionScalingSearch(const DvsWorkbench& bench,
@@ -203,50 +190,11 @@ SearchOutcome PrecisionScalingSearch(const DvsWorkbench& bench,
   AXSNN_CHECK(attack.supports_events(),
               "neuromorphic search needs an event-capable attack — '"
                   << attack.name() << "' applies to static batches only");
-
-  AXSNN_CHECK(engine == nullptr || &engine->bench() == &bench,
-              "the supplied scenario engine wraps a different workbench");
-  const std::optional<AqfConfig> aqf =
-      config.neuromorphic ? std::optional<AqfConfig>(config.aqf)
-                          : std::nullopt;
-  const std::vector<VariantSpec> specs = GridSpecs(space);
-
-  if (!config.return_first) {
-    scenario::ScenarioGrid grid = MakeSearchGrid(space, config, attack);
-    grid.time_steps = {bench.options().time_bins};  // binning fixes T
-    grid.epsilons = {0.0};                          // no event epsilon
-    grid.aqfs = {aqf};
-    scenario::DvsScenarioEngine local(bench);
-    scenario::DvsScenarioEngine& exec = engine ? *engine : local;
-    return FoldGridOutcome(exec.Run(grid), config, specs);
-  }
-
-  SearchOutcome outcome;
-  BestTracker best;
-  for (float vth : space.v_thresholds) {
-    DvsWorkbench::TrainedModel local_model;
-    const DvsWorkbench::TrainedModel* model;
-    if (engine != nullptr) {
-      model = &engine->TrainCached(vth);
-    } else {
-      local_model = bench.Train(vth);
-      model = &local_model;
-    }
-    if (model->train_accuracy_pct < config.quality_constraint_pct) continue;
-    data::EventDataset adversarial =
-        bench.Craft(*model, attack.name(), config.attack_params);
-
-    const std::vector<float> robustness =
-        bench.EvaluateVariants(*model, adversarial, aqf, specs);
-
-    CandidateResult base;
-    base.v_threshold = vth;
-    base.time_steps = model->time_bins;
-    base.train_accuracy_pct = model->train_accuracy_pct;
-    if (AccumulateCell(outcome, best, config, base, specs, robustness))
-      return outcome;
-  }
-  return outcome;
+  scenario::ScenarioGrid grid = MakeSearchGrid(space, config, attack);
+  grid.time_steps = {bench.options().time_bins};  // binning fixes T
+  grid.epsilons = {0.0};                          // no event epsilon
+  if (config.neuromorphic) grid.aqfs = {config.aqf};
+  return SearchOnEngine(bench, engine, grid, config);
 }
 
 }  // namespace axsnn::core

@@ -84,13 +84,15 @@ struct SearchOutcome {
 /// Algorithm 1 over a static-image task (any static-capable registry
 /// attack; the paper uses PGD/BIM).
 ///
-/// Execution: with `return_first` the paper's serial grid walk runs, early-
-/// exiting at the first candidate meeting Q; otherwise the whole grid is a
-/// declarative ScenarioGrid executed on the scenario engine (training gate
-/// included) and folded back in grid order — bit-identical to the serial
-/// walk. Passing `engine` shares its trained-model and crafted-set caches
-/// across searches (e.g. Table I's PGD and BIM searches of one structural
-/// cell train it once); nullptr uses a search-local engine.
+/// Execution: the search is a declarative ScenarioGrid (training gate
+/// included) run on the scenario engine and folded back in grid order.
+/// Without `return_first` the whole grid runs at once; with it the
+/// structural cells run one at a time in grid order and the search stops at
+/// the first candidate meeting Q, so later cells never train. Both modes
+/// give the same trace up to that candidate. Passing `engine` shares its
+/// trained-model and crafted-set caches across searches (e.g. Table I's PGD
+/// and BIM searches of one structural cell train it once); nullptr uses a
+/// search-local engine.
 SearchOutcome PrecisionScalingSearch(
     const StaticWorkbench& bench, const SearchSpace& space,
     const SearchConfig& config,

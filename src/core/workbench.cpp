@@ -8,6 +8,47 @@
 
 namespace axsnn::core {
 
+namespace {
+
+/// Both workbenches' MakeAx: Eq. (1) plus precision scaling of `net` at the
+/// structural T, with the spec's kernel mode (auto when unset).
+snn::Network DeriveVariant(const snn::Network& net,
+                           const approx::CalibrationStats& calibration,
+                           long time_steps, double threshold_gain,
+                           const VariantSpec& spec) {
+  approx::ApproxConfig cfg;
+  cfg.level = spec.level;
+  cfg.precision = spec.precision;
+  cfg.time_steps = time_steps;
+  cfg.threshold_gain = threshold_gain;
+  cfg.kernel_mode = spec.kernel_mode.value_or(kernels::KernelMode::kAuto);
+  auto [ax, report] = approx::MakeApproximate(net, cfg, calibration);
+  (void)report;
+  return std::move(ax);
+}
+
+/// Both workbenches' EvaluateVariants: one pool task per spec (grain 1)
+/// derives its own clone and scores it into its own slot. `score` seeds
+/// any randomness itself, so the fan-out is bit-identical to a serial loop.
+template <typename Bench, typename ScoreFn>
+std::vector<float> ScoreEachVariant(const Bench& bench,
+                                    const typename Bench::TrainedModel& model,
+                                    std::span<const VariantSpec> specs,
+                                    const ScoreFn& score) {
+  std::vector<float> robustness(specs.size(), 0.0f);
+  runtime::ParallelFor(
+      0, static_cast<long>(specs.size()),
+      [&](long i) {
+        snn::Network ax =
+            bench.MakeAx(model, specs[static_cast<std::size_t>(i)]);
+        robustness[static_cast<std::size_t>(i)] = score(ax);
+      },
+      /*grain=*/1);
+  return robustness;
+}
+
+}  // namespace
+
 std::string AttackName(AttackKind kind) {
   // Index-to-key table only; the canonical display name comes from the
   // registered attack object, so the registry stays the single source of
@@ -97,17 +138,8 @@ snn::Network StaticWorkbench::MakeAx(const TrainedModel& model, double level,
 
 snn::Network StaticWorkbench::MakeAx(const TrainedModel& model,
                                      const VariantSpec& spec) const {
-  approx::ApproxConfig cfg;
-  cfg.level = spec.level;
-  cfg.precision = spec.precision;
-  cfg.time_steps = model.time_steps;
-  cfg.threshold_gain = options_.threshold_gain;
-  cfg.int8_kernels = options_.int8_kernels;
-  cfg.kernel_mode = spec.kernel_mode.value_or(options_.kernel_mode);
-  auto [ax, report] = approx::MakeApproximate(model.net, cfg,
-                                              model.calibration);
-  (void)report;
-  return std::move(ax);
+  return DeriveVariant(model.net, model.calibration, model.time_steps,
+                       options_.threshold_gain, spec);
 }
 
 float StaticWorkbench::AccuracyPct(snn::Network& victim, const Tensor& images,
@@ -121,20 +153,9 @@ float StaticWorkbench::AccuracyPct(snn::Network& victim, const Tensor& images,
 std::vector<float> StaticWorkbench::EvaluateVariants(
     const TrainedModel& model, const Tensor& images,
     std::span<const VariantSpec> specs) const {
-  std::vector<float> robustness(specs.size(), 0.0f);
-  // grain 1: one sweep cell per pool task. Each cell owns its clone and its
-  // output slot, and its evaluation RNG is freshly seeded inside
-  // AccuracyPct, so the fan-out is bit-identical to the serial loop.
-  runtime::ParallelFor(
-      0, static_cast<long>(specs.size()),
-      [&](long i) {
-        const VariantSpec& spec = specs[static_cast<std::size_t>(i)];
-        snn::Network ax = MakeAx(model, spec);
-        robustness[static_cast<std::size_t>(i)] =
-            AccuracyPct(ax, images, model.time_steps);
-      },
-      /*grain=*/1);
-  return robustness;
+  return ScoreEachVariant(*this, model, specs, [&](snn::Network& ax) {
+    return AccuracyPct(ax, images, model.time_steps);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -236,58 +257,37 @@ snn::Network DvsWorkbench::MakeAx(const TrainedModel& model, double level,
 
 snn::Network DvsWorkbench::MakeAx(const TrainedModel& model,
                                   const VariantSpec& spec) const {
-  approx::ApproxConfig cfg;
-  cfg.level = spec.level;
-  cfg.precision = spec.precision;
-  cfg.time_steps = model.time_bins;
-  cfg.threshold_gain = options_.threshold_gain;
-  cfg.int8_kernels = options_.int8_kernels;
-  cfg.kernel_mode = spec.kernel_mode.value_or(options_.kernel_mode);
-  auto [ax, report] = approx::MakeApproximate(model.net, cfg,
-                                              model.calibration);
-  (void)report;
-  return std::move(ax);
+  return DeriveVariant(model.net, model.calibration, model.time_bins,
+                       options_.threshold_gain, spec);
+}
+
+DvsWorkbench::EvalSet DvsWorkbench::Prepare(
+    const data::EventDataset& streams,
+    const std::optional<AqfConfig>& aqf) const {
+  if (!aqf.has_value())
+    return {data::BinDataset(streams, options_.time_bins), streams.labels};
+  const data::EventDataset filtered = AqfFilterDataset(streams, *aqf);
+  return {data::BinDataset(filtered, options_.time_bins), filtered.labels};
+}
+
+float DvsWorkbench::Score(snn::Network& victim, const EvalSet& set) const {
+  return 100.0f * snn::AccuracyTemporal(victim, set.frames, set.labels,
+                                        options_.eval_batch);
 }
 
 float DvsWorkbench::AccuracyPct(snn::Network& victim,
                                 const data::EventDataset& streams,
                                 const std::optional<AqfConfig>& aqf) const {
-  const data::EventDataset* eval_set = &streams;
-  data::EventDataset filtered;
-  if (aqf.has_value()) {
-    filtered = AqfFilterDataset(streams, *aqf);
-    eval_set = &filtered;
-  }
-  Tensor frames = data::BinDataset(*eval_set, options_.time_bins);
-  return 100.0f * snn::AccuracyTemporal(victim, frames, eval_set->labels,
-                                        options_.eval_batch);
+  return Score(victim, Prepare(streams, aqf));
 }
 
 std::vector<float> DvsWorkbench::EvaluateVariants(
     const TrainedModel& model, const data::EventDataset& streams,
     const std::optional<AqfConfig>& aqf,
     std::span<const VariantSpec> specs) const {
-  // Filter and bin once, shared read-only by every cell — the serial path
-  // repeats this per variant, so the fan-out also removes redundant work.
-  const data::EventDataset* eval_set = &streams;
-  data::EventDataset filtered;
-  if (aqf.has_value()) {
-    filtered = AqfFilterDataset(streams, *aqf);
-    eval_set = &filtered;
-  }
-  Tensor frames = data::BinDataset(*eval_set, options_.time_bins);
-  std::vector<float> robustness(specs.size(), 0.0f);
-  runtime::ParallelFor(
-      0, static_cast<long>(specs.size()),
-      [&](long i) {
-        const VariantSpec& spec = specs[static_cast<std::size_t>(i)];
-        snn::Network ax = MakeAx(model, spec);
-        robustness[static_cast<std::size_t>(i)] =
-            100.0f * snn::AccuracyTemporal(ax, frames, eval_set->labels,
-                                           options_.eval_batch);
-      },
-      /*grain=*/1);
-  return robustness;
+  const EvalSet set = Prepare(streams, aqf);
+  return ScoreEachVariant(*this, model, specs,
+                          [&](snn::Network& ax) { return Score(ax, set); });
 }
 
 }  // namespace axsnn::core

@@ -42,11 +42,12 @@ std::string AttackName(AttackKind kind);
 /// One approximate-variant cell of the paper's sweep grid: the (precision
 /// scale, approximation level) pair derived from a trained accurate model,
 /// plus an optional kernel-implementation override (bit-identical across
-/// modes — a perf axis, never an accuracy one).
+/// modes — a perf axis, never an accuracy one). kInt8 variants run on the
+/// integer backend.
 struct VariantSpec {
   approx::Precision precision = approx::Precision::kFp32;
   double level = 0.0;
-  std::optional<kernels::KernelMode> kernel_mode;  ///< unset: Options value
+  std::optional<kernels::KernelMode> kernel_mode;  ///< unset: auto
 };
 
 // ---------------------------------------------------------------------------
@@ -72,14 +73,6 @@ class StaticWorkbench {
     /// Eq. (1) calibration constant for this architecture (see
     /// approx::ApproxConfig::threshold_gain).
     double threshold_gain = 3.0;
-    /// Execute kInt8 variants on the integer backend (int8 weights,
-    /// per-output-channel scales, int32 accumulation). False keeps the
-    /// float fake-quantization emulation for every precision.
-    bool int8_kernels = true;
-    /// Kernel implementation for derived variants (src/kernels/ dispatch:
-    /// auto | naive | sparse | simd; all bit-identical). kAuto probes spike
-    /// density per call; AXSNN_KERNEL_MODE overrides.
-    kernels::KernelMode kernel_mode = kernels::KernelMode::kAuto;
     std::uint64_t seed = 5;
   };
 
@@ -128,9 +121,10 @@ class StaticWorkbench {
 
   /// Robustness [%] of every approximate variant of `model` on `images`.
   /// The cells are independent: each one derives its own network clone
-  /// (MakeAx) and evaluates on the global runtime pool; kernel-level loops
-  /// inside a cell queue behind the cells and run on idle workers. Results
-  /// align with `specs` and are identical at any pool size, including 1.
+  /// (MakeAx) and is scored by AccuracyPct on the global runtime pool;
+  /// kernel-level loops inside a cell queue behind the cells and run on
+  /// idle workers. Results align with `specs` and are identical at any pool
+  /// size, including 1.
   std::vector<float> EvaluateVariants(const TrainedModel& model,
                                       const Tensor& images,
                                       std::span<const VariantSpec> specs) const;
@@ -163,12 +157,6 @@ class DvsWorkbench {
     /// Eq. (1) calibration constant for the DVS architecture: level 0.1
     /// keeps clean accuracy (Table II operating point).
     double threshold_gain = 0.3;
-    /// Execute kInt8 variants on the integer backend (see
-    /// StaticWorkbench::Options::int8_kernels).
-    bool int8_kernels = true;
-    /// Kernel implementation for derived variants (see
-    /// StaticWorkbench::Options::kernel_mode).
-    kernels::KernelMode kernel_mode = kernels::KernelMode::kAuto;
     std::uint64_t seed = 17;
   };
 
@@ -209,15 +197,30 @@ class DvsWorkbench {
   snn::Network MakeAx(const TrainedModel& model,
                       const VariantSpec& spec) const;
 
+  /// A set of streams ready to score: AQF-filtered when asked (Alg. 1 lines
+  /// 12-14 with the neuromorphic flag set) and binned into T frames.
+  struct EvalSet {
+    Tensor frames;  ///< [N, T, 2, H, W]
+    std::vector<int> labels;
+  };
+
+  /// Filters (when `aqf` is set) and bins `streams` once; every variant
+  /// scored on the result shares it read-only.
+  EvalSet Prepare(const data::EventDataset& streams,
+                  const std::optional<AqfConfig>& aqf) const;
+
+  /// Test accuracy [%] of `victim` on a prepared set.
+  float Score(snn::Network& victim, const EvalSet& set) const;
+
   /// Test accuracy [%] of `victim` on `streams`, optionally AQF-filtered
-  /// first (Alg. 1 lines 12-14 with the neuromorphic flag set).
+  /// first: Score(victim, Prepare(streams, aqf)).
   float AccuracyPct(snn::Network& victim, const data::EventDataset& streams,
                     const std::optional<AqfConfig>& aqf = std::nullopt) const;
 
-  /// Robustness [%] of every approximate variant of `model` on `streams`
-  /// (optionally AQF-filtered once, shared by all cells). Independent cells
-  /// fan out on the global runtime pool; results align with `specs` and are
-  /// identical at any pool size.
+  /// Robustness [%] of every approximate variant of `model` on `streams`,
+  /// prepared once and shared by all cells. Independent cells fan out on
+  /// the global runtime pool; results align with `specs` and are identical
+  /// at any pool size.
   std::vector<float> EvaluateVariants(
       const TrainedModel& model, const data::EventDataset& streams,
       const std::optional<AqfConfig>& aqf,

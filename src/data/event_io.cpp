@@ -4,10 +4,13 @@
 #include <cstdint>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#include "tensor/serialize.hpp"
 
 namespace axsnn::data {
 
@@ -18,6 +21,9 @@ constexpr std::uint32_t kDatasetMagic = 0x41584544;  // "AXED"
 constexpr std::uint32_t kVersion = 1;
 // Coordinates are int16 on disk, so a sane sensor never exceeds this.
 constexpr long kMaxSensorDim = 32768;
+// On-disk event record: x, y (int16), polarity (int8), timestamp (float).
+constexpr std::uint64_t kEventRecordBytes =
+    2 * sizeof(std::int16_t) + sizeof(std::int8_t) + sizeof(float);
 
 template <typename T>
 void WritePod(std::ostream& os, const T& v) {
@@ -44,14 +50,21 @@ class Reader {
   T Read(const char* what) {
     T v{};
     is_.read(reinterpret_cast<char*>(&v), sizeof v);
-    if (!is_) {
-      std::ostringstream msg;
-      msg << "axsnn: truncated event stream data: " << what
-          << " at byte offset " << offset();
-      throw std::runtime_error(msg.str());
-    }
+    if (!is_) FailTruncated(what);
     read_ += static_cast<std::int64_t>(sizeof v);
     return v;
+  }
+
+  /// Bytes left in the stream, when it can tell (see BytesLeft).
+  std::optional<std::uint64_t> BytesLeft() const {
+    return axsnn::BytesLeft(is_);
+  }
+
+  [[noreturn]] void FailTruncated(const char* what) const {
+    std::ostringstream msg;
+    msg << "axsnn: truncated event stream data: " << what
+        << " at byte offset " << offset();
+    throw std::runtime_error(msg.str());
   }
 
   [[noreturn]] void Fail(std::int64_t record_offset,
@@ -100,7 +113,13 @@ EventStream ReadEventStreamTracked(Reader& r) {
   const std::int64_t count = r.Read<std::int64_t>("event count");
   if (count < 0 || count > (1LL << 32))
     throw std::runtime_error("axsnn: implausible event count");
-  s.events.reserve(static_cast<std::size_t>(count));
+  // Reserve only what the stream holds; a stream that cannot report its
+  // length grows the buffer as records arrive.
+  if (const std::optional<std::uint64_t> left = r.BytesLeft()) {
+    if (*left < static_cast<std::uint64_t>(count) * kEventRecordBytes)
+      r.FailTruncated("event records");
+    s.events.reserve(static_cast<std::size_t>(count));
+  }
   for (std::int64_t i = 0; i < count; ++i) {
     const std::int64_t record_off = r.offset();
     Event e;
@@ -177,9 +196,10 @@ EventDataset ReadEventDataset(std::istream& is) {
   ds.height = static_cast<long>(r.Read<std::int64_t>("dataset height"));
   CheckGeometry(r, geometry_off, "dataset", ds.width, ds.height);
   ds.duration_ms = r.Read<float>("dataset duration");
+  const std::int64_t classes_off = r.offset();
   ds.num_classes = r.Read<std::int32_t>("class count");
   if (ds.num_classes <= 0)
-    r.Fail(0, "dataset class count must be positive");
+    r.Fail(classes_off, "dataset class count must be positive");
   const std::int64_t count = r.Read<std::int64_t>("stream count");
   if (count < 0 || count > (1LL << 24))
     throw std::runtime_error("axsnn: implausible stream count");

@@ -20,49 +20,6 @@ std::vector<int> DefaultBits(int word_bits) {
 
 }  // namespace
 
-CampaignResult RunCampaign(const snn::Network& model,
-                           approx::Precision precision, const EvalFn& eval,
-                           const CampaignOptions& options) {
-  AXSNN_CHECK(eval != nullptr, "RunCampaign needs an evaluator");
-  CampaignResult result;
-  {
-    snn::Network clean = model.Clone();
-    result.clean_accuracy_pct = eval(clean);
-  }
-  struct PointSpec {
-    double ber;
-    long flips;
-  };
-  std::vector<PointSpec> grid;
-  for (double b : options.bers) grid.push_back({b, 0});
-  for (long f : options.flip_counts) grid.push_back({0.0, f});
-  result.points.resize(grid.size());
-  const long trials = std::max<long>(1, options.trials);
-  runtime::ParallelFor(
-      0, static_cast<long>(grid.size()),
-      [&](long i) {
-        const PointSpec& point = grid[static_cast<std::size_t>(i)];
-        double acc_sum = 0.0;
-        long sites = 0;
-        for (long t = 0; t < trials; ++t) {
-          FaultSpec spec = options.base;
-          spec.ber = point.ber;
-          spec.flips = point.flips;
-          spec.seed = options.base.seed + static_cast<std::uint64_t>(t);
-          snn::Network victim = model.Clone();
-          if (spec.ber > 0.0 || spec.flips > 0) {
-            sites = ApplyFault(victim, spec, precision).sites;
-          }
-          acc_sum += static_cast<double>(eval(victim));
-        }
-        result.points[static_cast<std::size_t>(i)] = {
-            point.ber, point.flips, sites,
-            static_cast<float>(acc_sum / static_cast<double>(trials))};
-      },
-      /*grain=*/1);
-  return result;
-}
-
 std::vector<SensitivityStep> GreedySensitivitySearch(
     const snn::Network& model, approx::Precision precision,
     const EvalFn& eval, const SensitivityOptions& options) {

@@ -1,22 +1,17 @@
-// Fault campaigns: sweeping fault grids and ranking the weakest bits.
+// Weakest-bit ranking on top of the injector.
 //
-// Two instruments on top of the injector:
+// GreedySensitivitySearch is the NeuroAttack-style ranking: per round,
+// probe a candidate set of (layer, target array, bit position) single
+// flips — each at a deterministically drawn word — on a clone of the
+// current (already-corrupted) model, commit the flip with the largest
+// robustness drop, repeat. The committed sequence IS the ranking: the most
+// damaging storage bits of this model, most damaging first.
 //
-//  * FaultCampaign (RunCampaign) — the BER/flip-count sweep behind the
-//    fig8_bitflip report: clone the victim, inject one grid point, measure
-//    robustness with a caller-supplied evaluator, repeat over seeds. Points
-//    fan out on the thread pool; every point writes its own slot, so the
-//    result is bit-identical at any pool size.
-//
-//  * GreedySensitivitySearch — the NeuroAttack-style ranking: per round,
-//    probe a candidate set of (layer, target array, bit position) single
-//    flips — each at a deterministically drawn word — on a clone of the
-//    current (already-corrupted) model, commit the flip with the largest
-//    robustness drop, repeat. The committed sequence IS the ranking: the
-//    most damaging storage bits of this model, most damaging first.
-//
-// Both take the evaluator as a callback (accuracy-on-a-test-set in the
+// It takes the evaluator as a callback (accuracy-on-a-test-set in the
 // drivers) so the subsystem stays independent of workbench/dataset types.
+// BER and flip-count sweeps are not a separate loop here: they are the
+// scenario engine's fault axis (scenario/scenario.hpp), which clones,
+// corrupts and scores every (variant, fault) pair.
 #pragma once
 
 #include <cstdint>
@@ -33,32 +28,6 @@ namespace axsnn::faults {
 /// Robustness probe: typically [&](snn::Network& n) { return accuracy(n); }.
 /// Must be thread-safe for concurrent calls on distinct networks.
 using EvalFn = std::function<float(snn::Network&)>;
-
-struct CampaignOptions {
-  /// Template for every point: kind/domain/target/bit/layer come from here;
-  /// ber/flips are overwritten per grid point and seed per trial.
-  FaultSpec base;
-  std::vector<double> bers;      ///< one campaign point per BER value
-  std::vector<long> flip_counts; ///< one campaign point per flip count
-  long trials = 1;               ///< seeds base.seed + t, accuracy averaged
-};
-
-struct CampaignPoint {
-  double ber = 0.0;   ///< 0 for flip-count points
-  long flips = 0;     ///< 0 for BER points
-  long sites = 0;     ///< corruption sites of the last trial
-  float accuracy_pct = 0.0f;  ///< mean over trials
-};
-
-struct CampaignResult {
-  float clean_accuracy_pct = 0.0f;
-  std::vector<CampaignPoint> points;  ///< bers order, then flip_counts order
-};
-
-/// Clone-inject-evaluate over the options grid. `model` is never mutated.
-CampaignResult RunCampaign(const snn::Network& model,
-                           approx::Precision precision, const EvalFn& eval,
-                           const CampaignOptions& options);
 
 struct SensitivityOptions {
   long rounds = 3;          ///< committed flips == ranking length

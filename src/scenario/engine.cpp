@@ -51,16 +51,6 @@ faults::FaultSpec AttackFault(const AttackSpec& attack) {
                                : faults::FaultSpec{};
 }
 
-/// True when a unit with this attack takes the fault-free fast path — the
-/// single EvaluateVariants call per slice. Fault-free grids (default single
-/// none fault axis, perturbation attack) must keep their golden reports
-/// byte-identical, so that path is preserved verbatim.
-bool FaultFreeUnit(const ScenarioGrid& grid,
-                   const faults::FaultSpec& attack_fault) {
-  return attack_fault.is_none() && grid.faults.size() == 1 &&
-         grid.faults[0].is_none();
-}
-
 /// What Run does with one work unit.
 enum class UnitPlan : char {
   kCompute,  ///< train/craft/evaluate (and journal when a store is attached)
@@ -300,14 +290,15 @@ ScenarioOutcome ScenarioEngine<W>::Run(const ScenarioGrid& grid,
         const Crafted& adversarial =
             CraftCached(model, vth, t, attack, grid.epsilons[ie]);
 
-        // Fault-free units keep the single EvaluateVariants call per slice
-        // (and its bytes); fault units clone-then-corrupt every (variant,
-        // fault) pair and evaluate it on the pool — each pair owns its
-        // slot, so the fan-out stays bit-identical at any pool size. The
-        // attack's fault (if any) applies before the axis fault, on the
-        // variant's own precision surface. A slice whose aqf entry repeats
-        // an earlier one copies that slice (static grids: every entry is
-        // disengaged, so one evaluation fills the unit).
+        // Each aqf slice prepares the crafted set once (DVS: filter and
+        // bin), then clones, corrupts and scores every (variant, fault)
+        // pair on the pool — each pair owns its slot, so the fan-out stays
+        // bit-identical at any pool size. The attack's fault (if any)
+        // applies before the axis fault, on the variant's own precision
+        // surface; a pair with neither is scored on the clean clone. A
+        // slice whose aqf entry repeats an earlier one copies that slice
+        // (static grids: every entry is disengaged, so one evaluation fills
+        // the unit).
         const faults::FaultSpec attack_fault = AttackFault(attack);
         for (std::size_t iq = 0; iq < grid.aqfs.size(); ++iq) {
           const AqfSlice& aqf = grid.aqfs[iq];
@@ -320,33 +311,29 @@ ScenarioOutcome ScenarioEngine<W>::Run(const ScenarioGrid& grid,
           if (first < iq) {
             std::copy_n(slice - static_cast<long>((iq - first) * slice_size),
                         slice_size, slice);
-          } else if (FaultFreeUnit(grid, attack_fault)) {
-            const std::vector<float> robustness =
-                W::EvaluateVariants(bench_, model, adversarial, aqf, variants);
-            std::copy(robustness.begin(), robustness.end(), slice);
-          } else {
-            runtime::ParallelFor(
-                0, static_cast<long>(slice_size),
-                [&](long j) {
-                  const std::size_t ifl =
-                      static_cast<std::size_t>(j) % fault_count;
-                  const core::VariantSpec& vspec =
-                      variants[static_cast<std::size_t>(j) / fault_count];
-                  snn::Network ax = bench_.MakeAx(model, vspec);
-                  bool faulted = false;
-                  for (const faults::FaultSpec* fault :
-                       {&attack_fault, &grid.faults[ifl]}) {
-                    if (fault->is_none()) continue;
-                    faults::ApplyFault(ax, *fault, vspec.precision);
-                    faulted = true;
-                  }
-                  if (faulted)
-                    faulted_evals.fetch_add(1, std::memory_order_relaxed);
-                  slice[j] =
-                      W::AccuracyPct(bench_, model, ax, adversarial, aqf);
-                },
-                /*grain=*/1);
+            continue;
           }
+          const auto& prepared = W::Prepare(bench_, adversarial, aqf);
+          runtime::ParallelFor(
+              0, static_cast<long>(slice_size),
+              [&](long j) {
+                const std::size_t ifl =
+                    static_cast<std::size_t>(j) % fault_count;
+                const core::VariantSpec& vspec =
+                    variants[static_cast<std::size_t>(j) / fault_count];
+                snn::Network ax = bench_.MakeAx(model, vspec);
+                bool faulted = false;
+                for (const faults::FaultSpec* fault :
+                     {&attack_fault, &grid.faults[ifl]}) {
+                  if (fault->is_none()) continue;
+                  faults::ApplyFault(ax, *fault, vspec.precision);
+                  faulted = true;
+                }
+                if (faulted)
+                  faulted_evals.fetch_add(1, std::memory_order_relaxed);
+                slice[j] = W::Score(bench_, model, ax, prepared);
+              },
+              /*grain=*/1);
         }
 
         if (store_ != nullptr) {

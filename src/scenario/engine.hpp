@@ -3,7 +3,7 @@
 // One engine serves both workbench families: ScenarioEngine<W> is written
 // once against a workload trait W (workload.hpp) that supplies only what
 // differs — the workbench and model types, the train/craft hooks, T per
-// structural cell and how a crafted set is evaluated. StaticScenarioEngine
+// structural cell and how a crafted set is prepared and scored. StaticScenarioEngine
 // and DvsScenarioEngine are its two instantiations.
 //
 // The engine turns a grid into work units — one (structural cell, attack,
@@ -181,7 +181,7 @@ class ScenarioEngine {
   void set_store(ScenarioStore<W>* store) { store_ = store; }
 
   /// Trains (or fetches) the model of one structural cell through the
-  /// cache — the Algorithm-1 serial path shares models with grids this way.
+  /// cache, so a caller probing a cell directly shares it with later grids.
   /// Consults the attached store before computing. DVS cells take T from
   /// the workbench binning (any other T throws std::invalid_argument), so
   /// the DVS engine also offers TrainCached(vth).

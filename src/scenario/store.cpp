@@ -423,8 +423,7 @@ std::uint64_t StaticWorkload::Fingerprint(const Bench& bench) {
   h.I64(static_cast<long>(o.eval_encoding));
   h.I64(o.eval_batch);
   h.F64(o.threshold_gain);
-  h.I64(o.int8_kernels ? 1 : 0);
-  // kernel_mode excluded: bit-identical execution axis by contract.
+  h.I64(1);  // once an int8-backend switch, always on: keeps keys stable
   h.U64(o.seed);
   HashStaticDataset(h, bench.train_set());
   HashStaticDataset(h, bench.test_set());
@@ -457,8 +456,7 @@ std::uint64_t DvsWorkload::Fingerprint(const Bench& bench) {
   h.I64(o.frame.both_polarities ? 1 : 0);
   h.I64(o.eval_batch);
   h.F64(o.threshold_gain);
-  h.I64(o.int8_kernels ? 1 : 0);
-  // kernel_mode excluded: bit-identical execution axis by contract.
+  h.I64(1);  // once an int8-backend switch, always on: keeps keys stable
   h.U64(o.seed);
   HashEventDataset(h, bench.train_set());
   HashEventDataset(h, bench.test_set());

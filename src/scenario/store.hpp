@@ -19,9 +19,7 @@
 //
 // The workbench fingerprint hashes every option and dataset byte that
 // affects training, crafting or evaluation, so two workbenches sharing a
-// directory can never serve each other stale artifacts. (The kernel-mode
-// knob is deliberately excluded: it is a bit-identical execution axis by
-// contract, pinned by the CI matrix legs.)
+// directory can never serve each other stale artifacts.
 //
 // Every value is one file: a small checksummed envelope (magic, version,
 // payload kind, size, FNV-1a 64 digest) around a tensor/serialize or

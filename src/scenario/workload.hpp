@@ -4,10 +4,12 @@
 // score every approximate variant) is written once against these traits.
 //
 //   StaticWorkload  StaticWorkbench, crafted Tensor, T = grid.time_steps[it],
-//                   epsilon is part of every craft key; AQF ignored
+//                   epsilon is part of every craft key; AQF ignored, so a
+//                   crafted set is scored as it is
 //   DvsWorkload     DvsWorkbench, crafted EventDataset, T = the workbench
-//                   binning, no epsilon (event attacks have none); AQF
-//                   filters the crafted streams before evaluation
+//                   binning, no epsilon (event attacks have none); a crafted
+//                   set is AQF-filtered (when the slice asks) and binned
+//                   once per slice before scoring
 //
 // A DVS grid validates to single time/epsilon entries, so the static unit
 // numbering, block offsets and phase-1 cell list apply to it unchanged.
@@ -17,7 +19,6 @@
 #include <functional>
 #include <iosfwd>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -72,15 +73,14 @@ struct StaticWorkload {
   /// T of every structural cell when the workbench fixes it; nullopt: the
   /// grid's time_steps axis.
   static std::optional<long> TimeOverride(const Bench&) { return {}; }
-  static std::vector<float> EvaluateVariants(
-      const Bench& bench, const TrainedModel& model, const Crafted& crafted,
-      const AqfSlice&, std::span<const core::VariantSpec> specs) {
-    return bench.EvaluateVariants(model, crafted, specs);
+  /// The crafted set as every variant of one aqf slice scores it.
+  static const Tensor& Prepare(const Bench&, const Crafted& crafted,
+                               const AqfSlice&) {
+    return crafted;
   }
-  static float AccuracyPct(const Bench& bench, const TrainedModel& model,
-                           snn::Network& victim, const Crafted& crafted,
-                           const AqfSlice&) {
-    return bench.AccuracyPct(victim, crafted, model.time_steps);
+  static float Score(const Bench& bench, const TrainedModel& model,
+                     snn::Network& victim, const Tensor& images) {
+    return bench.AccuracyPct(victim, images, model.time_steps);
   }
 
   // --- store hooks ---
@@ -134,16 +134,13 @@ struct DvsWorkload {
   static std::optional<long> TimeOverride(const Bench& bench) {
     return bench.options().time_bins;
   }
-  static std::vector<float> EvaluateVariants(
-      const Bench& bench, const TrainedModel& model, const Crafted& crafted,
-      const AqfSlice& aqf, std::span<const core::VariantSpec> specs) {
-    return bench.EvaluateVariants(model, crafted, aqf, specs);
+  static Bench::EvalSet Prepare(const Bench& bench, const Crafted& crafted,
+                                const AqfSlice& aqf) {
+    return bench.Prepare(crafted, aqf);
   }
-  /// Falls back to the dense path for hooked (activation-fault) clones.
-  static float AccuracyPct(const Bench& bench, const TrainedModel&,
-                           snn::Network& victim, const Crafted& crafted,
-                           const AqfSlice& aqf) {
-    return bench.AccuracyPct(victim, crafted, aqf);
+  static float Score(const Bench& bench, const TrainedModel&,
+                     snn::Network& victim, const Bench::EvalSet& set) {
+    return bench.Score(victim, set);
   }
 
   static std::uint64_t Fingerprint(const Bench& bench);

@@ -1,5 +1,6 @@
 #include "tensor/serialize.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -18,6 +19,9 @@ constexpr std::uint32_t kMaxNameLength = 1u << 16;
 /// Per-tensor element cap: rejects the absurd allocations a few flipped
 /// header bytes would otherwise request (2^40 floats = 4 TiB).
 constexpr std::uint64_t kMaxElements = 1ull << 40;
+/// Payload read granularity when the stream cannot report its length: the
+/// buffer grows only as bytes arrive, so a lying header costs one chunk.
+constexpr std::uint64_t kChunkElements = 1ull << 20;
 
 void WriteU32(std::ostream& os, std::uint32_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof v);
@@ -65,6 +69,10 @@ class Reader {
     std::int64_t v = 0;
     ReadRaw(&v, sizeof v, what);
     return v;
+  }
+
+  std::optional<std::uint64_t> BytesLeft() const {
+    return axsnn::BytesLeft(is_);
   }
 
   void ReadRaw(void* dst, std::size_t size, const char* what) {
@@ -115,15 +123,39 @@ Tensor ReadTensorRecord(Reader& reader) {
       reader.FailMalformed(os.str());
     }
   }
-  Tensor t(shape);
-  if (t.numel() > 0)
-    reader.ReadRaw(t.data(),
-                   static_cast<std::size_t>(t.numel()) * sizeof(float),
+  // Size the payload from the bytes actually present, never from the
+  // header alone: a few flipped dim bytes must not allocate terabytes.
+  const std::optional<std::uint64_t> left = reader.BytesLeft();
+  if (left.has_value()) {
+    if (*left < numel * sizeof(float)) reader.FailTruncated("tensor payload");
+    Tensor t(shape);
+    if (numel > 0)
+      reader.ReadRaw(t.data(), numel * sizeof(float), "tensor payload");
+    return t;
+  }
+  std::vector<float> data;
+  while (data.size() < numel) {
+    const std::size_t have = data.size();
+    const std::size_t chunk = std::min(numel - have, kChunkElements);
+    data.resize(have + chunk);
+    reader.ReadRaw(data.data() + have, chunk * sizeof(float),
                    "tensor payload");
-  return t;
+  }
+  return Tensor(std::move(shape), std::move(data));
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> BytesLeft(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  if (here == std::istream::pos_type(-1)) return std::nullopt;
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.clear();
+  is.seekg(here);
+  if (end == std::istream::pos_type(-1) || end < here) return std::nullopt;
+  return static_cast<std::uint64_t>(end - here);
+}
 
 void WriteTensor(std::ostream& os, const Tensor& t) {
   WriteU32(os, kTensorMagic);

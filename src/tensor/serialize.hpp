@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "tensor/tensor.hpp"
@@ -22,6 +23,12 @@ namespace axsnn {
 /// Format version shared by tensor and tensor-map records. Bump on any
 /// layout change; readers reject other versions explicitly.
 inline constexpr std::uint32_t kSerializeVersion = 2;
+
+/// Bytes between the read position of `is` and its end, or nullopt when the
+/// stream cannot tell (it is not seekable, e.g. a pipe). Leaves the read
+/// position where it was. Readers check a header's count against this
+/// before sizing a buffer from it.
+std::optional<std::uint64_t> BytesLeft(std::istream& is);
 
 /// Writes a single tensor: magic, version, rank, dims, raw float payload.
 void WriteTensor(std::ostream& os, const Tensor& t);

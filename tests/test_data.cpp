@@ -407,6 +407,30 @@ TEST(EventIo, DatasetRejectsBadGeometry) {
   }
 }
 
+TEST(EventIo, DatasetClassCountErrorNamesItsOffset) {
+  // Written after a 10-byte prefix and read from there: the class count
+  // sits at 10 + magic, version (4 + 4), width, height (8 + 8) and
+  // duration (4) = byte 38, and the error must say so.
+  EventDataset ds;
+  ds.width = 4;
+  ds.height = 4;
+  ds.duration_ms = 10.0f;
+  ds.num_classes = 0;
+  std::ostringstream os;
+  os << "0123456789";
+  WriteEventDataset(os, ds);
+  std::istringstream is(os.str());
+  is.seekg(10);
+  try {
+    ReadEventDataset(is);
+    FAIL() << "expected a non-positive class count to throw";
+  } catch (const std::runtime_error& e) {
+    const std::string err = e.what();
+    EXPECT_NE(err.find("class count"), std::string::npos) << err;
+    EXPECT_NE(err.find("byte offset 38"), std::string::npos) << err;
+  }
+}
+
 TEST(EventIo, DatasetRejectsTruncation) {
   EventDataset ds;
   ds.width = 4;

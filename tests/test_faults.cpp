@@ -606,46 +606,5 @@ TEST(SensitivitySearch, GreedyRankingIsPinned) {
   }
 }
 
-TEST(FaultCampaign, PointsAreDeterministicAndModelIsNeverMutated) {
-  core::StaticWorkbench& bench = SharedMiniBench();
-  const auto& model = SharedModel();
-  const Tensor& images = bench.test_set().images;
-  const faults::EvalFn eval_fn = [&](snn::Network& victim) {
-    return bench.AccuracyPct(victim, images, model.time_steps);
-  };
-  snn::Network victim = Variant(approx::Precision::kInt8);
-  const auto before = victim.StateDict();
-
-  faults::CampaignOptions opts;
-  opts.base.kind = faults::FaultKind::kBitFlip;
-  opts.base.seed = 31;
-  opts.bers = {1e-3};
-  opts.flip_counts = {8};
-  opts.trials = 2;
-
-  faults::CampaignResult first;
-  faults::CampaignResult second;
-  {
-    ScopedThreads pool(1);
-    first = faults::RunCampaign(victim, approx::Precision::kInt8, eval_fn,
-                                opts);
-  }
-  {
-    ScopedThreads pool(4);
-    second = faults::RunCampaign(victim, approx::Precision::kInt8, eval_fn,
-                                 opts);
-  }
-  EXPECT_TRUE(BitIdentical(victim.StateDict(), before));
-  EXPECT_EQ(first.clean_accuracy_pct, second.clean_accuracy_pct);
-  ASSERT_EQ(first.points.size(), 2u);
-  ASSERT_EQ(second.points.size(), 2u);
-  for (std::size_t i = 0; i < first.points.size(); ++i) {
-    EXPECT_EQ(first.points[i].accuracy_pct, second.points[i].accuracy_pct);
-    EXPECT_EQ(first.points[i].sites, second.points[i].sites);
-  }
-  EXPECT_EQ(first.points[0].ber, 1e-3);
-  EXPECT_EQ(first.points[1].flips, 8);
-}
-
 }  // namespace
 }  // namespace axsnn

@@ -1,9 +1,11 @@
 // Scenario-subsystem tests: the attack registry (registration, lookup,
 // param-schema validation), declarative grid expansion, the engine's
 // trained-model cache semantics, pool-size determinism of a mini grid, the
-// Algorithm-1 training gate, and registry-only attacks running end-to-end
-// (a PGD parameter ladder on the static bench, Corner/Dash on the DVS
-// bench) without any workbench enum involvement.
+// Algorithm-1 training gate and search modes, the DVS fault axis under AQF,
+// and registry-only attacks running end-to-end (a PGD parameter ladder on
+// the static bench, Corner/Dash on the DVS bench) without any workbench
+// enum involvement.
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -334,6 +336,74 @@ TEST(SearchOnEngine, WholeGridModeMatchesDirectEvaluation) {
   EXPECT_EQ(outcome.trace[1].level, 0.01);
 }
 
+/// Checks the first-hit search against the whole-grid search of the same
+/// space at a Q some candidate meets: the first-hit trace must be the
+/// whole-grid trace cut at the first candidate meeting Q, with that
+/// candidate as `best` (everything before it sits below Q).
+template <typename Bench, typename Engine>
+void ExpectFirstHitIsCutWholeGrid(const Bench& bench,
+                                  const core::SearchSpace& space,
+                                  core::SearchConfig cfg) {
+  Engine engine(bench);
+  cfg.return_first = false;
+  cfg.quality_constraint_pct = 5.0f;
+  const core::SearchOutcome low =
+      core::PrecisionScalingSearch(bench, space, cfg, &engine);
+  // Q also gates cells on train accuracy, so take the largest value some
+  // candidate meets inside a cell the gate keeps.
+  float q = 0.0f;
+  for (const core::CandidateResult& c : low.trace)
+    q = std::max(q, std::min(c.robustness_pct, c.train_accuracy_pct));
+  cfg.quality_constraint_pct = q;
+
+  const core::SearchOutcome whole =
+      core::PrecisionScalingSearch(bench, space, cfg, &engine);
+  cfg.return_first = true;
+  const core::SearchOutcome first =
+      core::PrecisionScalingSearch(bench, space, cfg);  // local engine
+
+  std::size_t cut = 0;
+  while (cut < whole.trace.size() &&
+         whole.trace[cut].robustness_pct < cfg.quality_constraint_pct)
+    ++cut;
+  ASSERT_LT(cut, whole.trace.size()) << "no candidate met Q";
+  ASSERT_EQ(first.trace.size(), cut + 1);
+  const auto same = [](const core::CandidateResult& a,
+                       const core::CandidateResult& b) {
+    return a.v_threshold == b.v_threshold && a.time_steps == b.time_steps &&
+           a.precision == b.precision && a.level == b.level &&
+           a.train_accuracy_pct == b.train_accuracy_pct &&
+           a.robustness_pct == b.robustness_pct;
+  };
+  for (std::size_t i = 0; i <= cut; ++i)
+    EXPECT_TRUE(same(first.trace[i], whole.trace[i])) << "candidate " << i;
+  EXPECT_TRUE(first.found);
+  EXPECT_TRUE(whole.found);
+  EXPECT_TRUE(same(first.best, whole.trace[cut]));
+  EXPECT_GE(whole.best.robustness_pct, first.best.robustness_pct);
+}
+
+TEST(SearchOnEngine, FirstHitIsTheWholeGridTraceCutAtTheHit) {
+  core::SearchSpace space;
+  space.v_thresholds = {0.25f, 0.5f};
+  space.time_steps = {8};
+  space.precisions = {approx::Precision::kFp32, approx::Precision::kInt8};
+  space.approx_levels = {0.0, 0.01};
+  core::SearchConfig cfg;
+  cfg.attack = core::AttackKind::kPgd;
+  cfg.epsilon = 0.05f;
+  ExpectFirstHitIsCutWholeGrid<core::StaticWorkbench,
+                               scenario::StaticScenarioEngine>(
+      SharedMiniBench(), space, cfg);
+
+  // A model-corrupting attack: both modes score corrupted clones.
+  cfg.attack_name = "bitflip";
+  cfg.attack_params = {{"flips", 64.0}, {"seed", 3.0}};
+  ExpectFirstHitIsCutWholeGrid<core::StaticWorkbench,
+                               scenario::StaticScenarioEngine>(
+      SharedMiniBench(), space, cfg);
+}
+
 // --- neuromorphic: registry-only attacks end-to-end -------------------------
 
 core::DvsWorkbench& SharedMiniDvsBench() {
@@ -352,6 +422,68 @@ core::DvsWorkbench& SharedMiniDvsBench() {
     return new core::DvsWorkbench(std::move(train), std::move(test), opts);
   }();
   return *bench;
+}
+
+TEST(SearchOnEngine, DvsFirstHitIsTheWholeGridTraceCutAtTheHit) {
+  core::SearchSpace space;
+  // On this bench the Vth=1.0 cell scores below the Vth=0.75 one, so the
+  // hit lands in the second structural cell.
+  space.v_thresholds = {1.0f, 0.75f};
+  space.precisions = {approx::Precision::kFp32};
+  space.approx_levels = {0.0, 0.1};
+  core::SearchConfig cfg;
+  cfg.attack = core::AttackKind::kFrame;
+  cfg.neuromorphic = true;
+  ExpectFirstHitIsCutWholeGrid<core::DvsWorkbench,
+                               scenario::DvsScenarioEngine>(
+      SharedMiniDvsBench(), space, cfg);
+}
+
+TEST(DvsScenario, FaultAxisUnderAqfIsExactAndPoolInvariant) {
+  // AQF {off, on} x faults {none, weight bit-flip} on the DVS engine: every
+  // slice is filtered and binned once and each (variant, fault) pair is
+  // scored on its own clone.
+  scenario::ScenarioGrid grid;
+  grid.v_thresholds = {1.0f};
+  grid.attacks = {scenario::AttackSpec{"none", {}},
+                  scenario::AttackSpec{"Frame", {}}};
+  grid.aqfs = {std::nullopt, core::AqfConfig{}};
+  grid.levels = {0.0, 0.1};
+  faults::FaultSpec flip;
+  flip.kind = faults::FaultKind::kBitFlip;
+  flip.ber = 5e-3;
+  flip.seed = 101;
+  grid.faults = {faults::FaultSpec{}, flip};
+
+  scenario::DvsScenarioEngine engine(SharedMiniDvsBench());
+  std::vector<scenario::ScenarioOutcome> runs;
+  for (int threads : {4, 1}) {
+    ScopedThreads pool(threads);
+    runs.push_back(engine.Run(grid));
+  }
+  // 2 units x 2 aqf slices x 2 variants x 1 non-none fault.
+  EXPECT_EQ(runs[0].stats.faulted_evals, 8);
+  EXPECT_EQ(runs[1].stats.faulted_evals, 8);
+  ASSERT_EQ(runs[0].robustness_pct.size(), runs[1].robustness_pct.size());
+  for (std::size_t i = 0; i < runs[0].robustness_pct.size(); ++i)
+    EXPECT_EQ(runs[0].robustness_pct[i], runs[1].robustness_pct[i])
+        << "pool of 1 changed cell " << i;
+
+  scenario::ScenarioGrid clean = grid;
+  clean.faults = {faults::FaultSpec{}};
+  const auto fault_free = engine.Run(clean);
+  EXPECT_EQ(fault_free.stats.faulted_evals, 0);
+  bool any_fault_moved = false;
+  for (std::size_t ia = 0; ia < grid.attacks.size(); ++ia)
+    for (std::size_t iq = 0; iq < grid.aqfs.size(); ++iq)
+      for (std::size_t il = 0; il < grid.levels.size(); ++il) {
+        const float none = runs[0].Robustness(0, 0, ia, 0, iq, 0, il, 0, 0);
+        EXPECT_EQ(none, fault_free.Robustness(0, 0, ia, 0, iq, 0, il, 0))
+            << "attack " << ia << " aqf " << iq << " level " << il;
+        any_fault_moved |=
+            runs[0].Robustness(0, 0, ia, 0, iq, 0, il, 0, 1) != none;
+      }
+  EXPECT_TRUE(any_fault_moved) << "the bit-flip entry never changed a cell";
 }
 
 TEST(DvsScenario, CornerAndDashRunThroughRegistryOnly) {

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "core/workbench.hpp"
+#include "data/event_io.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/shard.hpp"
 #include "scenario/store.hpp"
@@ -87,6 +88,75 @@ TEST(SerializeHardening, AbsurdRankRejectedBeforeAllocation) {
   put_u32(4096u);
   std::istringstream is(os.str());
   EXPECT_THROW(ReadTensor(is), std::runtime_error);
+}
+
+/// Read-only buffer that cannot seek, like a pipe: tellg() reports -1, so
+/// a reader cannot learn how many bytes are left before it reads them.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+/// Runs `read` on `bytes` through a seekable and a pipe-like stream; both
+/// must throw the usual "truncated" error.
+template <typename ReadFn>
+void ExpectTruncatedEitherWay(const std::string& bytes, ReadFn read) {
+  std::istringstream seekable(bytes);
+  PipeBuf pipe_buf(bytes);
+  std::istream pipe(&pipe_buf);
+  for (std::istream* is : {static_cast<std::istream*>(&seekable), &pipe}) {
+    try {
+      read(*is);
+      FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(SerializeHardening, TruncatedPayloadRejectedBeforeAllocation) {
+  // A 1-D tensor header claiming 2^38 floats (2^40 bytes) over an 8-byte
+  // payload: the claim must be checked against the bytes present, never
+  // allocated up front.
+  std::ostringstream os;
+  const auto put = [&os](const auto v) {
+    os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(std::uint32_t{0x41585342u});  // "AXSB"
+  put(kSerializeVersion);
+  put(std::uint32_t{1});
+  put(std::int64_t{1} << 38);
+  put(1.0f);
+  put(2.0f);
+  ExpectTruncatedEitherWay(os.str(),
+                           [](std::istream& is) { (void)ReadTensor(is); });
+}
+
+TEST(SerializeHardening, TruncatedEventStreamRejectedBeforeAllocation) {
+  // An event-stream header claiming 2^32 events (the largest count the
+  // header accepts, 48 GiB in memory) over one event.
+  std::ostringstream os;
+  const auto put = [&os](const auto v) {
+    os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(std::uint32_t{0x41584556u});  // "AXEV"
+  put(std::uint32_t{1});
+  put(std::int64_t{4});  // width
+  put(std::int64_t{4});  // height
+  put(10.0f);            // duration
+  put(std::int64_t{1} << 32);
+  put(std::int16_t{1});
+  put(std::int16_t{2});
+  put(std::int8_t{1});
+  put(5.0f);
+  ExpectTruncatedEitherWay(
+      os.str(), [](std::istream& is) { (void)data::ReadEventStream(is); });
 }
 
 TEST(SerializeHardening, VersionMismatchRejected) {
@@ -607,6 +677,34 @@ TEST(DvsScenarioStore, TwoShardMergeIsBitIdentical) {
   EXPECT_EQ(merged.stats.replayed_units, 2);
   EXPECT_EQ(merged.stats.trained_models, 0);
   ExpectSameCells(reference, merged, "DVS 2-shard merge");
+}
+
+// --- store-key stability ----------------------------------------------------
+
+TEST(StoreKeys, PinnedForFixedMiniWorkbenches) {
+  // Store keys name on-disk artifacts: a change here orphans every cache
+  // directory written before it, so a key change must be deliberate and
+  // update these strings. They cover the workbench fingerprint (options and
+  // dataset bytes), the craft suffix and the grid digest of both workloads.
+  ScopedDir dir("pinned_keys");
+  const scenario::StaticScenarioStore static_store(dir.path(),
+                                                   StoreMiniBench());
+  EXPECT_EQ(static_store.ModelKey(0.25f, 6),
+            "m_2028723e90a328bd_v000000003e800000_t6");
+  EXPECT_EQ(static_store.CraftKey(0.25f, 6, scenario::AttackSpec{"PGD", {}},
+                                  0.05),
+            "m_2028723e90a328bd_v000000003e800000_t6_afa60b99b0d80b443_"
+            "e3fa999999999999a");
+  EXPECT_EQ(static_store.GridKey(StoreMiniGrid()), "g_43ed54c95fb2c55f");
+
+  const scenario::DvsScenarioStore dvs_store(dir.path(), StoreMiniDvsBench());
+  const long bins = StoreMiniDvsBench().options().time_bins;
+  EXPECT_EQ(dvs_store.ModelKey(1.0f, bins),
+            "m_728d910f8a2708f8_v000000003f800000_t8");
+  EXPECT_EQ(
+      dvs_store.CraftKey(1.0f, bins, scenario::AttackSpec{"Sparse", {}}, 0.0),
+      "m_728d910f8a2708f8_v000000003f800000_t8_adf3ac48370652e45");
+  EXPECT_EQ(dvs_store.GridKey(DvsCase::Grid()), "g_672bbfbe09df8967");
 }
 
 }  // namespace
